@@ -5,7 +5,7 @@ around each residue by Viterbi decoding; the class with the highest window
 score becomes that residue's predicted label.
 """
 
-from .dssp import DSSP_CODES, reduce_dssp, reduce_dssp_string
+from .dssp import CLASS_ORDER, DSSP_CODES, reduce_dssp, reduce_dssp_string
 from .hmm import (Hmm, LikelihoodTrace, ViterbiResult, backward_log_likelihood,
                   baum_welch, forward_log_likelihood, new_random_hmm,
                   sequence_score, viterbi)
@@ -13,8 +13,8 @@ from .io import (FastaRecord, LabeledRecord, format_fasta,
                  format_label_records, format_labeled_dataset, format_models,
                  parse_fasta, parse_label_records, parse_labeled_dataset,
                  parse_models, read_models, write_models)
-from .metrics import (CLASS_ORDER, confusion, format_report,
-                      format_report_csv, per_class_recall, q3)
+from .metrics import (confusion, format_report, format_report_csv,
+                      per_class_recall, q3)
 from .predictor import (ALPHABET, ClassModelSet, WindowScores, choose_class,
                         classify_window, encode_residues, fold_residues,
                         predict_structure)

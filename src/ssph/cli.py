@@ -4,56 +4,36 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .dssp import CLASS_ORDER
 from .errors import LengthMismatch, RecordMismatch, SsphError
 from .io import (atomic_write_text, format_label_records, parse_fasta,
                  parse_label_records, parse_labeled_dataset, read_models,
                  write_models)
-from .metrics import CLASS_ORDER, confusion, format_report, format_report_csv
+from .metrics import confusion, format_report, format_report_csv
 from .predictor import predict_structure
 from .training import train_models
 
 
-@dataclass
-class RunConfig:
-    states: int = 2
-    half_width: int = 5
-    max_iters: int = 100
-    tol: float = 1e-6
-    seed: int = 0
-    boundary_label: str = "C"
-    include_boundary: bool = True
-    data: str | None = None
-    models: str | None = None
-    fasta: str | None = None
-    pred: str | None = None
-    truth: str | None = None
-    out: str | None = None
-    csv: str | None = None
-
-    def validate(self) -> None:
-        if self.states < 1:
-            raise ValueError("--states must be >= 1")
-        if self.half_width < 1:
-            raise ValueError("--window must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("--tol must be > 0")
-        if self.max_iters < 0:
-            raise ValueError("--iters must be >= 0")
-        if self.seed < 0:
-            raise ValueError("--seed must be >= 0")
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject out-of-range numeric flags with an ``error:`` line and exit 1;
+    argparse ``type=`` validators would exit 2 with usage text instead."""
+    for flag, low in (("states", 1), ("window", 1), ("iters", 0), ("seed", 0)):
+        if getattr(args, flag, low) < low:
+            raise ValueError(f"--{flag} must be >= {low}")
+    if getattr(args, "tol", 1.0) <= 0:
+        raise ValueError("--tol must be > 0")
 
 
-def cmd_train(cfg: RunConfig) -> None:
-    records = parse_labeled_dataset(Path(cfg.data).read_text(encoding="utf-8"))
+def cmd_train(args: argparse.Namespace) -> None:
+    records = parse_labeled_dataset(Path(args.data).read_text(encoding="utf-8"))
     models, traces = train_models(
-        records, num_states=cfg.states, half_width=cfg.half_width,
-        max_iters=cfg.max_iters, tol=cfg.tol, seed=cfg.seed)
-    write_models(models, cfg.out)
+        records, num_states=args.states, half_width=args.window,
+        max_iters=args.iters, tol=args.tol, seed=args.seed)
+    write_models(models, args.out)
     for label in CLASS_ORDER:
         trace = traces[label]
         if trace:
@@ -63,21 +43,21 @@ def cmd_train(cfg: RunConfig) -> None:
             print(f"class {label}: no iterations run")
 
 
-def cmd_predict(cfg: RunConfig) -> None:
-    models = read_models(cfg.models)
-    records = parse_fasta(Path(cfg.fasta).read_text(encoding="utf-8"))
+def cmd_predict(args: argparse.Namespace) -> None:
+    models = read_models(args.models)
+    records = parse_fasta(Path(args.fasta).read_text(encoding="utf-8"))
     predictions = [
         (rec.id, predict_structure(models, rec.sequence,
-                                   half_width=cfg.half_width,
-                                   boundary_label=cfg.boundary_label))
+                                   half_width=args.window,
+                                   boundary_label=args.boundary_label))
         for rec in records
     ]
-    atomic_write_text(cfg.out, format_label_records(predictions))
+    atomic_write_text(args.out, format_label_records(predictions))
 
 
-def cmd_eval(cfg: RunConfig) -> None:
-    preds = parse_label_records(Path(cfg.pred).read_text(encoding="utf-8"))
-    truths = parse_label_records(Path(cfg.truth).read_text(encoding="utf-8"))
+def cmd_eval(args: argparse.Namespace) -> None:
+    preds = parse_label_records(Path(args.pred).read_text(encoding="utf-8"))
+    truths = parse_label_records(Path(args.truth).read_text(encoding="utf-8"))
     if len(preds) != len(truths):
         raise RecordMismatch(f"{len(preds)} prediction records vs "
                              f"{len(truths)} truth records")
@@ -90,17 +70,17 @@ def cmd_eval(cfg: RunConfig) -> None:
             raise LengthMismatch(
                 f"record {pred_id!r}: prediction length {len(pred)} != "
                 f"truth length {len(truth)}")
-        if not cfg.include_boundary:
-            pred = pred[cfg.half_width:len(pred) - cfg.half_width]
-            truth = truth[cfg.half_width:len(truth) - cfg.half_width]
+        if not args.include_boundary_in_eval:
+            pred = pred[args.window:len(pred) - args.window]
+            truth = truth[args.window:len(truth) - args.window]
         total += confusion(pred, truth)
     report = format_report(total)
-    if cfg.out:
-        atomic_write_text(cfg.out, report)
+    if args.out:
+        atomic_write_text(args.out, report)
     else:
         print(report, end="")
-    if cfg.csv:
-        atomic_write_text(cfg.csv, format_report_csv(total))
+    if args.csv:
+        atomic_write_text(args.csv, format_report_csv(total))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,7 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--out", required=True, help="predictions to write")
     predict.add_argument("--window", type=int, default=5,
                          help="window half-width (default 5)")
-    predict.add_argument("--boundary-label", default="C", choices=list("HEC"),
+    predict.add_argument("--boundary-label", default="C",
+                         choices=list(CLASS_ORDER),
                          help="label for positions without a complete window")
 
     evaluate = sub.add_parser("eval", help="score predictions against truth")
@@ -149,28 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    mapping = {
-        "states": "states", "window": "half_width", "iters": "max_iters",
-        "tol": "tol", "seed": "seed", "boundary_label": "boundary_label",
-        "include_boundary_in_eval": "include_boundary", "data": "data",
-        "models": "models", "fasta": "fasta", "pred": "pred",
-        "truth": "truth", "out": "out", "csv": "csv",
-    }
-    for arg_name, field in mapping.items():
-        if hasattr(args, arg_name):
-            setattr(cfg, field, getattr(args, arg_name))
-    cfg.validate()
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     commands = {"train": cmd_train, "predict": cmd_predict, "eval": cmd_eval}
     try:
-        cfg = _config_from_args(args)
-        commands[args.command](cfg)
+        _check_flags(args)
+        commands[args.command](args)
     except (SsphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

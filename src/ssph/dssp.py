@@ -4,6 +4,11 @@ from .errors import UnknownDsspCode
 
 DSSP_CODES = "HGIEBTSC"
 
+# The three classes, one HMM each. This order is the model-file block order,
+# the confusion-matrix order, and the order training seeds the class models
+# (seed, seed+1, seed+2), so changing it changes every output.
+CLASS_ORDER = "HEC"
+
 # Helix <- {H, G, I}; strand <- {E, B}; coil <- {T, S, C}.
 _REDUCTION = {
     "H": "H", "G": "H", "I": "H",

@@ -19,7 +19,7 @@ LikelihoodTrace = list[float]
 
 
 def _check_stochastic(rows: np.ndarray, name: str) -> None:
-    if np.any(rows < 0.0) or np.any(rows > 1.0):
+    if not np.all((rows >= 0.0) & (rows <= 1.0)):  # also rejects NaN
         raise ValueError(f"{name} has entries outside [0, 1]")
     sums = rows.sum(axis=-1)
     if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):

@@ -29,13 +29,13 @@ record: ``>id`` then one label line.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
-from .dssp import reduce_dssp_string
+from .dssp import CLASS_ORDER, reduce_dssp_string
 from .errors import (EmptyRecord, LengthMismatch, MissingHeader,
                      ModelFormatError)
 from .hmm import ROW_SUM_TOL, Hmm
@@ -58,10 +58,12 @@ class LabeledRecord:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file and rename, so failures leave no partial file."""
+    """Write via a temp file and rename, so failures leave no partial file.
+    The file gets the permissions a plain ``open(path, "w")`` would give."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."),
-                               prefix=path.name + ".", suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp"
+    # O_EXCL never opens an existing file; mode 0o666 is masked by the umask.
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -108,30 +110,37 @@ def format_fasta(records: list[FastaRecord]) -> str:
     return "".join(f">{rec.id}\n{rec.sequence}\n" for rec in records)
 
 
-def parse_labeled_dataset(text: str) -> list[LabeledRecord]:
-    """Parse three-line records (">id", sequence, labels). DSSP label strings
-    are reduced to {H,E,C}; already-reduced strings pass through unchanged."""
+def _read_records(text: str, body: tuple[str, ...]
+                  ) -> Iterator[tuple[str, list[str]]]:
+    """Yield (id, lines) for records of a ">id" line plus one line for each
+    name in ``body``. Lines are stripped and blank lines are skipped."""
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
-    records: list[LabeledRecord] = []
-    i = 0
-    while i < len(lines):
+    k = len(body)
+    for i in range(0, len(lines), k + 1):
         header = lines[i]
         if not header.startswith(">"):
             raise MissingHeader(f"expected '>' header, got {header!r}")
         rec_id = header[1:].strip()
-        body = lines[i + 1:i + 3]
-        if len(body) < 2 or any(part.startswith(">") for part in body):
-            raise EmptyRecord(
-                f"record {rec_id!r} is missing its sequence or label line")
-        sequence = fold_residues(body[0])
-        labels = reduce_dssp_string(body[1])
+        fields = lines[i + 1:i + 1 + k]
+        if len(fields) < k or any(part.startswith(">") for part in fields):
+            raise EmptyRecord(f"record {rec_id!r} is missing its "
+                              f"{' or '.join(body)} line")
+        yield rec_id, fields
+
+
+def parse_labeled_dataset(text: str) -> list[LabeledRecord]:
+    """Parse three-line records (">id", sequence, labels). DSSP label strings
+    are reduced to {H,E,C}; already-reduced strings pass through unchanged."""
+    records: list[LabeledRecord] = []
+    for rec_id, (residues, dssp) in _read_records(text, ("sequence", "label")):
+        sequence = fold_residues(residues)
+        labels = reduce_dssp_string(dssp)
         if len(sequence) != len(labels):
             raise LengthMismatch(
                 f"record {rec_id!r}: sequence length {len(sequence)} != "
                 f"label length {len(labels)}")
         records.append(LabeledRecord(rec_id, sequence, labels))
-        i += 3
     return records
 
 
@@ -143,20 +152,8 @@ def format_labeled_dataset(records: list[LabeledRecord]) -> str:
 def parse_label_records(text: str) -> list[tuple[str, str]]:
     """Parse a prediction/truth file: two lines per record, ">id" then one
     label line over {H,E,C} (DSSP letters are reduced)."""
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line]
-    records: list[tuple[str, str]] = []
-    i = 0
-    while i < len(lines):
-        header = lines[i]
-        if not header.startswith(">"):
-            raise MissingHeader(f"expected '>' header, got {header!r}")
-        rec_id = header[1:].strip()
-        if i + 1 >= len(lines) or lines[i + 1].startswith(">"):
-            raise EmptyRecord(f"record {rec_id!r} has no label line")
-        records.append((rec_id, reduce_dssp_string(lines[i + 1])))
-        i += 2
-    return records
+    return [(rec_id, reduce_dssp_string(labels))
+            for rec_id, (labels,) in _read_records(text, ("label",))]
 
 
 def format_label_records(records: list[tuple[str, str]]) -> str:
@@ -170,8 +167,8 @@ def _format_row(keyword: str, values: np.ndarray) -> str:
 def format_models(models: ClassModelSet) -> str:
     """Serialize a model set to the text format above (exact round-trip)."""
     lines = [MODEL_FORMAT_VERSION, f"alphabet {ALPHABET}"]
-    for tag, model in (("H", models.helix), ("E", models.strand),
-                       ("C", models.coil)):
+    for tag in CLASS_ORDER:
+        model = models[tag]
         lines.append(f"model {tag}")
         lines.append(f"states {model.num_states}")
         lines.append(_format_row("initial", model.initial))
@@ -219,7 +216,7 @@ def _parse_prob_row(cursor: _LineCursor, keyword: str, width: int) -> np.ndarray
     except ValueError:
         raise ModelFormatError(
             f"line {line_no}: '{keyword}' row has a non-numeric field") from None
-    if np.any(row < 0.0) or np.any(row > 1.0):
+    if not np.all((row >= 0.0) & (row <= 1.0)):  # also rejects NaN
         raise ModelFormatError(
             f"line {line_no}: '{keyword}' row has entries outside [0, 1]")
     if abs(row.sum() - 1.0) > ROW_SUM_TOL:
@@ -263,13 +260,11 @@ def parse_models(text: str) -> ClassModelSet:
         raise ModelFormatError(
             f"line {cursor.line_no}: expected 'alphabet {ALPHABET}', "
             f"got {line!r}")
-    helix = _parse_model_block(cursor, "H")
-    strand = _parse_model_block(cursor, "E")
-    coil = _parse_model_block(cursor, "C")
+    models = {tag: _parse_model_block(cursor, tag) for tag in CLASS_ORDER}
     if not cursor.done():
         raise ModelFormatError(
             f"line {cursor.line_no + 1}: trailing content after model blocks")
-    return ClassModelSet(helix=helix, strand=strand, coil=coil)
+    return ClassModelSet.from_labels(models)
 
 
 def write_models(models: ClassModelSet, destination: str | Path) -> None:

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dssp import CLASS_ORDER
 from .errors import LengthMismatch, NoResidues
 
-CLASS_ORDER = "HEC"
 _CLASS_INDEX = {c: i for i, c in enumerate(CLASS_ORDER)}
 
 
@@ -22,7 +22,8 @@ def confusion(pred: str, truth: str) -> np.ndarray:
             matrix[_CLASS_INDEX[t], _CLASS_INDEX[p]] += 1
         except KeyError:
             bad = t if t not in _CLASS_INDEX else p
-            raise ValueError(f"label {bad!r} is not one of 'HEC'") from None
+            raise ValueError(
+                f"label {bad!r} is not one of {CLASS_ORDER!r}") from None
     return matrix
 
 

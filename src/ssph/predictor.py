@@ -8,9 +8,11 @@ highest Viterbi path probability wins.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
+from .dssp import CLASS_ORDER
 from .errors import EmptySequence, EmptyWindow
 from .hmm import Hmm, sequence_score
 
@@ -18,7 +20,9 @@ from .hmm import Hmm, sequence_score
 # Symbol indices follow this ordering (A=0 ... X=20).
 ALPHABET = "ACDEFGHIKLMNPQRSTVWYX"
 UNKNOWN_RESIDUE = "X"
-CLASS_LABELS = "HEC"
+
+# Equal window scores go to the label listed first here.
+TIE_BREAK = "HCE"
 
 _INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
 
@@ -40,21 +44,32 @@ def encode_residues(sequence: str) -> np.ndarray:
                     dtype=np.intp)
 
 
+_FIELD_OF = dict(zip(CLASS_ORDER, ("helix", "strand", "coil")))
+
+
 @dataclass(frozen=True)
 class ClassModelSet:
-    """The three per-class models, all over the 21-letter residue alphabet."""
+    """The three per-class models, all over the 21-letter residue alphabet.
+    ``models[label]`` gives the model of one class in :data:`CLASS_ORDER`."""
 
     helix: Hmm
     strand: Hmm
     coil: Hmm
 
+    @classmethod
+    def from_labels(cls, models: Mapping[str, Hmm]) -> ClassModelSet:
+        """Build the set from a mapping keyed by class label."""
+        return cls(**{_FIELD_OF[label]: models[label] for label in CLASS_ORDER})
+
+    def __getitem__(self, label: str) -> Hmm:
+        return getattr(self, _FIELD_OF[label])
+
     def __post_init__(self) -> None:
-        for name, model in (("helix", self.helix), ("strand", self.strand),
-                            ("coil", self.coil)):
-            if model.alphabet_size != len(ALPHABET):
-                raise ValueError(
-                    f"{name} model has alphabet size {model.alphabet_size}, "
-                    f"expected {len(ALPHABET)}")
+        for label, name in _FIELD_OF.items():
+            size = self[label].alphabet_size
+            if size != len(ALPHABET):
+                raise ValueError(f"{name} model has alphabet size {size}, "
+                                 f"expected {len(ALPHABET)}")
 
 
 @dataclass(frozen=True)
@@ -71,11 +86,8 @@ def choose_class(helix: float, coil: float, strand: float) -> str:
     """Argmax over the three scores with the fixed tie-break order
     helix > coil > strand (helix wins a three-way tie; coil wins a
     coil/strand tie)."""
-    if helix >= coil and helix >= strand:
-        return "H"
-    if coil >= strand:
-        return "C"
-    return "E"
+    scores = (helix, coil, strand)  # in TIE_BREAK order
+    return TIE_BREAK[scores.index(max(scores))]
 
 
 def _classify_encoded(models: ClassModelSet, window: np.ndarray) -> WindowScores:
@@ -104,8 +116,8 @@ def predict_structure(models: ClassModelSet, sequence: str,
     """
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
-    if boundary_label not in CLASS_LABELS:
-        raise ValueError(f"boundary_label must be one of {CLASS_LABELS!r}")
+    if boundary_label not in CLASS_ORDER:
+        raise ValueError(f"boundary_label must be one of {CLASS_ORDER!r}")
     encoded = encode_residues(sequence)
     n = encoded.shape[0]
     if n == 0:

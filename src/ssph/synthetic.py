@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dssp import CLASS_ORDER
 from .hmm import Hmm
 from .io import LabeledRecord
-from .metrics import CLASS_ORDER
 from .predictor import ALPHABET, ClassModelSet
 
 # Disjoint thirds of the 21-letter alphabet, one per class.
@@ -45,8 +45,8 @@ def planted_models(leak: float = 0.0) -> ClassModelSet:
     """Deterministic planted model set with disjoint per-class residue groups."""
     if not 0.0 <= leak < 1.0:
         raise ValueError("leak must be in [0, 1)")
-    models = {c: _planted_hmm(CLASS_RESIDUE_GROUPS[c], leak) for c in CLASS_ORDER}
-    return ClassModelSet(helix=models["H"], strand=models["E"], coil=models["C"])
+    return ClassModelSet.from_labels(
+        {c: _planted_hmm(CLASS_RESIDUE_GROUPS[c], leak) for c in CLASS_ORDER})
 
 
 def sample_observations(model: Hmm, length: int,
@@ -68,21 +68,20 @@ def sample_labeled_record(models: ClassModelSet, length: int,
     """One chain: labels follow a Markov chain with self-transition ``stay``
     (geometric run lengths); residues within a run are sampled from that
     class's model."""
-    by_class = {"H": models.helix, "E": models.strand, "C": models.coil}
     labels = []
-    current = CLASS_ORDER[rng.integers(3)]
+    current = CLASS_ORDER[rng.integers(len(CLASS_ORDER))]
     for _ in range(length):
         labels.append(current)
         if rng.random() > stay:
             others = [c for c in CLASS_ORDER if c != current]
-            current = others[rng.integers(2)]
+            current = others[rng.integers(len(others))]
     residues = []
     start = 0
     while start < length:
         end = start
         while end < length and labels[end] == labels[start]:
             end += 1
-        run = sample_observations(by_class[labels[start]], end - start, rng)
+        run = sample_observations(models[labels[start]], end - start, rng)
         residues.extend(ALPHABET[s] for s in run)
         start = end
     return LabeledRecord(rec_id, "".join(residues), "".join(labels))

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dssp import CLASS_ORDER
 from .errors import ClassHasNoData
 from .hmm import LikelihoodTrace, baum_welch, new_random_hmm
 from .io import LabeledRecord
-from .metrics import CLASS_ORDER
 from .predictor import ALPHABET, ClassModelSet, encode_residues
 
 
@@ -30,7 +30,7 @@ def class_windows(records: list[LabeledRecord],
             label = rec.labels[i]
             if label not in windows:
                 raise ValueError(f"record {rec.id!r}: label {label!r} "
-                                 "is not one of 'HEC'")
+                                 f"is not one of {CLASS_ORDER!r}")
             windows[label].append(encoded[i - half_width:i + half_width + 1])
     return windows
 
@@ -56,6 +56,4 @@ def train_models(records: list[LabeledRecord], *, num_states: int = 2,
         trained[label], traces[label] = baum_welch(
             init, windows[label], max_iters=max_iters, tol=tol,
             pseudocount=pseudocount)
-    models = ClassModelSet(helix=trained["H"], strand=trained["E"],
-                           coil=trained["C"])
-    return models, traces
+    return ClassModelSet.from_labels(trained), traces

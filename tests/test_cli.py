@@ -232,3 +232,16 @@ def test_invalid_flag_values_fail_cleanly(tmp_path, chains, capsys):
                  "--tol", "0"])
     assert code == 1
     assert "--tol" in capsys.readouterr().err
+    missing = str(tmp_path / "missing")
+    for argv, flag in (
+            (["train", "--data", str(data), "--out", missing], "--window"),
+            (["predict", "--models", missing, "--fasta", missing,
+              "--out", missing], "--window"),
+            (["eval", "--pred", missing, "--truth", missing], "--window")):
+        assert main(argv + [flag, "0"]) == 1
+        assert flag in capsys.readouterr().err
+    for flag in ("--iters", "--seed"):
+        code = main(["train", "--data", str(data), "--out", missing,
+                     flag, "-1"])
+        assert code == 1
+        assert flag in capsys.readouterr().err

@@ -37,6 +37,10 @@ def test_hmm_rejects_entries_outside_unit_interval():
         Hmm(initial=np.array([1.5, -0.5]),
             transition=np.full((2, 2), 0.5),
             emission=np.full((2, 3), 1.0 / 3))
+    with pytest.raises(ValueError, match="outside"):
+        Hmm(initial=np.array([np.nan, 0.4]),
+            transition=np.full((2, 2), 0.5),
+            emission=np.full((2, 3), 1.0 / 3))
 
 
 def test_hmm_rejects_shape_mismatch():

@@ -1,5 +1,8 @@
 """FASTA, labeled datasets, prediction records, and the model file format."""
 
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from ssph import (ALPHABET, ClassModelSet, FastaRecord, LabeledRecord,
                   write_models)
 from ssph.errors import (EmptyRecord, LengthMismatch, MissingHeader,
                          ModelFormatError)
+from ssph.io import atomic_write_text
 
 
 def models_equal(a, b):
@@ -138,6 +142,26 @@ def test_label_records_round_trip():
     assert parse_label_records(format_label_records(records)) == records
 
 
+# ------------------------------------------------------------- atomic writes
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_atomic_write_text_mode_follows_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        atomic_write_text(tmp_path / "out.txt", "HEC\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_atomic_write_text_failure_leaves_no_file(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(tmp_path / "out.txt", "\ud800")  # not encodable
+    assert list(tmp_path.iterdir()) == []
+
+
 # ----------------------------------------------------------------- model file
 
 def test_model_file_layout():
@@ -201,6 +225,9 @@ def test_parse_models_rejects_out_of_range_probability():
     lines = format_models(random_model_set(3)).splitlines()
     target = next(i for i, l in enumerate(lines) if l.startswith("initial"))
     lines[target] = "initial 1.5 -0.5"
+    with pytest.raises(ModelFormatError, match=f"line {target + 1}"):
+        parse_models("\n".join(lines) + "\n")
+    lines[target] = "initial nan 0.4"
     with pytest.raises(ModelFormatError, match=f"line {target + 1}"):
         parse_models("\n".join(lines) + "\n")
 
