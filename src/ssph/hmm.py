@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EmptyObservation, NoTrainingData, SymbolOutOfRange
 
@@ -148,6 +147,19 @@ def sequence_score(model: Hmm, obs: Sequence[int]) -> float:
     return viterbi(model, obs).log_prob
 
 
+def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """ln(sum(exp(a))) along ``axis``, as log1p(rest / ties) + log(ties) + top:
+    ``ties`` counts the entries equal to the maximum ``top``, ``rest`` sums
+    exp(x - top) over the others, and an all -inf slice gives -inf. ``a`` has
+    no NaN or +inf. Keep this float order; model files print with ``repr``."""
+    top = np.max(a, axis=axis, keepdims=True)
+    is_top = a == top
+    ties = np.sum(is_top, axis=axis, dtype=float)
+    with np.errstate(invalid="ignore"):  # -inf - -inf = NaN, where() drops it
+        rest = np.sum(np.exp(np.where(is_top, -np.inf, a - top)), axis=axis)
+    return np.log1p(rest / ties) + np.log(ties) + np.squeeze(top, axis)
+
+
 def _forward_lattice(log_init: np.ndarray, log_trans: np.ndarray,
                      log_emit: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Log-alpha lattice, shape (batch, length, states), for a batch of
@@ -158,7 +170,7 @@ def _forward_lattice(log_init: np.ndarray, log_trans: np.ndarray,
     alpha[:, 0] = log_init + log_emit[:, obs[:, 0]].T
     for t in range(1, length):
         step = alpha[:, t - 1][:, :, None] + log_trans[None]
-        alpha[:, t] = logsumexp(step, axis=1) + log_emit[:, obs[:, t]].T
+        alpha[:, t] = _logsumexp(step, axis=1) + log_emit[:, obs[:, t]].T
     return alpha
 
 
@@ -171,7 +183,7 @@ def _backward_lattice(log_init: np.ndarray, log_trans: np.ndarray,
     for t in range(length - 2, -1, -1):
         step = (log_trans[None]
                 + (log_emit[:, obs[:, t + 1]].T + beta[:, t + 1])[:, None, :])
-        beta[:, t] = logsumexp(step, axis=2)
+        beta[:, t] = _logsumexp(step, axis=2)
     return beta
 
 
@@ -180,7 +192,7 @@ def forward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
     o = _check_obs(model, obs)
     log_init, log_trans, log_emit = _log_params(model)
     alpha = _forward_lattice(log_init, log_trans, log_emit, o[None, :])
-    return float(logsumexp(alpha[0, -1]))
+    return float(_logsumexp(alpha[0, -1]))
 
 
 def backward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
@@ -190,7 +202,7 @@ def backward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
     log_init, log_trans, log_emit = _log_params(model)
     beta = _backward_lattice(log_init, log_trans, log_emit, o[None, :])
     first = log_init + log_emit[:, o[0]] + beta[0, 0]
-    return float(logsumexp(first))
+    return float(_logsumexp(first))
 
 
 def _expected_counts(model: Hmm, batches: list[np.ndarray]
@@ -207,7 +219,7 @@ def _expected_counts(model: Hmm, batches: list[np.ndarray]
     for obs in batches:
         alpha = _forward_lattice(log_init, log_trans, log_emit, obs)
         beta = _backward_lattice(log_init, log_trans, log_emit, obs)
-        ll = logsumexp(alpha[:, -1], axis=1)
+        ll = _logsumexp(alpha[:, -1], axis=1)
         if not np.all(np.isfinite(ll)):
             raise ValueError(
                 "a training sequence has zero probability under the model")

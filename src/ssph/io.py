@@ -73,6 +73,14 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def _record_id(header: str) -> str:
+    """The id of a stripped ``>id`` header line; it may not be empty."""
+    rec_id = header[1:].strip()
+    if not rec_id:
+        raise ValueError("header line with empty record id")
+    return rec_id
+
+
 def parse_fasta(text: str) -> list[FastaRecord]:
     """Parse FASTA text into records. Sequence lines are concatenated,
     whitespace-stripped, uppercased, and non-canonical residues fold to 'X'."""
@@ -93,9 +101,7 @@ def parse_fasta(text: str) -> list[FastaRecord]:
         if line.startswith(">"):
             if current_id is not None:
                 finalize()
-            current_id = line[1:].strip()
-            if not current_id:
-                raise ValueError("header line with empty record id")
+            current_id = _record_id(line)
             parts = []
         else:
             if current_id is None:
@@ -121,7 +127,7 @@ def _read_records(text: str, body: tuple[str, ...]
         header = lines[i]
         if not header.startswith(">"):
             raise MissingHeader(f"expected '>' header, got {header!r}")
-        rec_id = header[1:].strip()
+        rec_id = _record_id(header)
         fields = lines[i + 1:i + 1 + k]
         if len(fields) < k or any(part.startswith(">") for part in fields):
             raise EmptyRecord(f"record {rec_id!r} is missing its "

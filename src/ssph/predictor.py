@@ -25,17 +25,14 @@ UNKNOWN_RESIDUE = "X"
 TIE_BREAK = "HCE"
 
 _INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
+_FOLD = {ch: ch for ch in ALPHABET} | {ch.lower(): ch for ch in ALPHABET}
 
 
 def fold_residues(sequence: str) -> str:
     """Uppercase a residue string, drop whitespace, and map every character
-    outside the alphabet (B, Z, J, U, O, ...) to 'X'."""
-    out = []
-    for ch in sequence.upper():
-        if ch.isspace():
-            continue
-        out.append(ch if ch in _INDEX else UNKNOWN_RESIDUE)
-    return "".join(out)
+    outside the alphabet (B, Z, J, U, O, non-ASCII, ...) to 'X'."""
+    return "".join(_FOLD.get(ch, UNKNOWN_RESIDUE)
+                   for ch in sequence if not ch.isspace())
 
 
 def encode_residues(sequence: str) -> np.ndarray:
@@ -116,7 +113,7 @@ def predict_structure(models: ClassModelSet, sequence: str,
     """
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
-    if boundary_label not in CLASS_ORDER:
+    if boundary_label not in tuple(CLASS_ORDER):  # one letter, not a substring
         raise ValueError(f"boundary_label must be one of {CLASS_ORDER!r}")
     encoded = encode_residues(sequence)
     n = encoded.shape[0]

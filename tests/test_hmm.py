@@ -1,6 +1,10 @@
 """Core HMM numerics checked against the exhaustive enumeration reference."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+import ssph
 from helpers import random_model, random_stochastic, small_cases
 from ssph import (Hmm, backward_log_likelihood, baum_welch,
                   forward_log_likelihood, new_random_hmm, sequence_score,
                   viterbi)
 from ssph.errors import EmptyObservation, NoTrainingData, SymbolOutOfRange
+from ssph.hmm import _logsumexp
 
 
 def uniform_hmm(num_states, alphabet_size):
@@ -209,6 +215,37 @@ def test_likelihood_input_validation(fn):
         fn(model, [])
     with pytest.raises(SymbolOutOfRange):
         fn(model, [0, 9])
+
+
+# --------------------------------------------------------------- log-sum-exp
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_logsumexp_is_bit_identical_to_scipy(axis):
+    scipy_special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(axis)
+    real = rng.normal(0.0, 20.0, (4, 5, 6))
+    real[rng.uniform(size=real.shape) < 0.3] = -np.inf
+    ties = rng.integers(-3, 1, (4, 5, 6)).astype(float)
+    for a in (real, ties):
+        lanes = np.moveaxis(a, axis, -1)  # a view: writes go into ``a``
+        lanes[0, 0] = -np.inf
+        lanes[1, 1] = -2.0
+        expected = scipy_special.logsumexp(a, axis=axis)
+        got = _logsumexp(a, axis=axis)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        for lane in lanes.reshape(-1, lanes.shape[-1]):
+            assert np.array_equal(_logsumexp(lane),
+                                  scipy_special.logsumexp(lane))
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    src = str(Path(ssph.__file__).resolve().parents[1])
+    code = "import sys, ssph.cli; assert 'scipy' not in sys.modules"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------- baum_welch

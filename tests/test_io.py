@@ -137,6 +137,13 @@ def test_parse_label_records_rejects_missing_label_line():
         parse_label_records(">a\n>b\nHEC\n")
 
 
+def test_label_readers_reject_blank_record_id():
+    with pytest.raises(ValueError, match="empty record id"):
+        parse_label_records(">\nHEC\n")
+    with pytest.raises(ValueError, match="empty record id"):
+        parse_labeled_dataset(">  \nACD\nHEC\n")
+
+
 def test_label_records_round_trip():
     records = [("a", "HEC"), ("b", "CCCHH")]
     assert parse_label_records(format_label_records(records)) == records

@@ -35,6 +35,7 @@ def test_fold_residues_handles_case_whitespace_and_unknowns():
     assert fold_residues("ac de\n") == "ACDE"
     assert fold_residues("BJOUZ") == "XXXXX"
     assert fold_residues("") == ""
+    assert fold_residues("ßıﬁ") == "XXX"
 
 
 def test_encode_residues_folds_before_encoding():
@@ -127,9 +128,10 @@ def test_predict_structure_boundary_label_is_configurable():
     assert pred == "HH" + FIXTURE_LABELS[2:10] + "HH"
 
 
-def test_predict_structure_rejects_bad_boundary_label():
+@pytest.mark.parametrize("label", ["Q", "", "HE", "HEC"])
+def test_predict_structure_rejects_bad_boundary_label(label):
     with pytest.raises(ValueError):
-        predict_structure(stub_model_set(), "ACDEF", boundary_label="Q")
+        predict_structure(stub_model_set(), "ACDEF", boundary_label=label)
 
 
 def test_predict_structure_rejects_empty_sequence():
