@@ -142,9 +142,23 @@ def viterbi(model: Hmm, obs: Sequence[int]) -> ViterbiResult:
     return ViterbiResult(float(delta[path[-1]]), path)
 
 
+def _max_product_scores(log_init: np.ndarray, log_trans: np.ndarray,
+                        log_emit: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """Best-path log score of each row of an integer (batch, length)
+    observation array: the max-product recursion of :func:`viterbi` without
+    the backtrace. ``max`` returns one of its inputs, so every score equals
+    ``viterbi(...).log_prob`` bit for bit."""
+    emit = log_emit.T[obs]  # (batch, length, states)
+    delta = log_init + emit[:, 0]
+    for t in range(1, obs.shape[1]):
+        delta = np.max(delta[:, :, None] + log_trans, axis=1) + emit[:, t]
+    return np.max(delta, axis=1)
+
+
 def sequence_score(model: Hmm, obs: Sequence[int]) -> float:
     """Log-probability of the single best state path (the window score)."""
-    return viterbi(model, obs).log_prob
+    o = _check_obs(model, obs)
+    return float(_max_product_scores(*_log_params(model), o[None, :])[0])
 
 
 def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -238,7 +238,8 @@ def _parse_model_block(cursor: _LineCursor, tag: str) -> Hmm:
             f"line {cursor.line_no}: expected 'model {tag}', got {line!r}")
     line = cursor.next()
     fields = line.split(" ")
-    if len(fields) != 2 or fields[0] != "states" or not fields[1].isdigit():
+    if (len(fields) != 2 or fields[0] != "states"
+            or not (fields[1].isascii() and fields[1].isdigit())):
         raise ModelFormatError(
             f"line {cursor.line_no}: expected 'states <k>', got {line!r}")
     k = int(fields[1])

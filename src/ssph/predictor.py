@@ -2,7 +2,8 @@
 
 Each residue is classified by scoring the window centered on it under three
 class-specific HMMs (helix, strand, coil); the class whose model assigns the
-highest Viterbi path probability wins.
+highest Viterbi path probability wins. All windows of a sequence are scored
+together, one batched max-product pass per class model.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .dssp import CLASS_ORDER
 from .errors import EmptySequence, EmptyWindow
-from .hmm import Hmm, sequence_score
+from .hmm import Hmm, _log_params, _max_product_scores, sequence_score
 
 # Residue alphabet: the 20 canonical amino acids plus 'X' for anything else.
 # Symbol indices follow this ordering (A=0 ... X=20).
@@ -24,21 +25,33 @@ UNKNOWN_RESIDUE = "X"
 # Equal window scores go to the label listed first here.
 TIE_BREAK = "HCE"
 
-_INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
-_FOLD = {ch: ch for ch in ALPHABET} | {ch.lower(): ch for ch in ALPHABET}
+
+class _FoldTable(dict):
+    """``str.translate`` table: each alphabet letter, in either case, to its
+    upper case; whitespace deleted; every other character to 'X'."""
+
+    def __missing__(self, code: int) -> str | None:
+        return None if chr(code).isspace() else UNKNOWN_RESIDUE
+
+
+_FOLD = _FoldTable({ord(c): c for c in ALPHABET}
+                   | {ord(c.lower()): c for c in ALPHABET})
+# Folded ASCII byte -> symbol index; fold_residues emits alphabet letters only.
+_INDEX = np.zeros(128, dtype=np.intp)
+_INDEX[[ord(c) for c in ALPHABET]] = np.arange(len(ALPHABET))
+_TIE_BREAK_BYTES = np.frombuffer(TIE_BREAK.encode("ascii"), dtype=np.uint8)
 
 
 def fold_residues(sequence: str) -> str:
     """Uppercase a residue string, drop whitespace, and map every character
     outside the alphabet (B, Z, J, U, O, non-ASCII, ...) to 'X'."""
-    return "".join(_FOLD.get(ch, UNKNOWN_RESIDUE)
-                   for ch in sequence if not ch.isspace())
+    return sequence.translate(_FOLD)
 
 
 def encode_residues(sequence: str) -> np.ndarray:
     """Residue string -> integer symbol indices (folding unknowns to 'X')."""
-    return np.array([_INDEX[ch] for ch in fold_residues(sequence)],
-                    dtype=np.intp)
+    folded = fold_residues(sequence).encode("ascii")
+    return _INDEX[np.frombuffer(folded, dtype=np.uint8)]
 
 
 _FIELD_OF = dict(zip(CLASS_ORDER, ("helix", "strand", "coil")))
@@ -87,29 +100,26 @@ def choose_class(helix: float, coil: float, strand: float) -> str:
     return TIE_BREAK[scores.index(max(scores))]
 
 
-def _classify_encoded(models: ClassModelSet, window: np.ndarray) -> WindowScores:
-    helix = sequence_score(models.helix, window)
-    coil = sequence_score(models.coil, window)
-    strand = sequence_score(models.strand, window)
-    return WindowScores(helix, coil, strand, choose_class(helix, coil, strand))
-
-
 def classify_window(models: ClassModelSet, window: str) -> WindowScores:
     """Score one residue window under all three class models."""
     encoded = encode_residues(window)
     if encoded.size == 0:
         raise EmptyWindow("window is empty")
-    return _classify_encoded(models, encoded)
+    helix, coil, strand = (sequence_score(models[label], encoded)
+                           for label in TIE_BREAK)
+    return WindowScores(helix, coil, strand, choose_class(helix, coil, strand))
 
 
 def predict_structure(models: ClassModelSet, sequence: str,
                       half_width: int = 5, boundary_label: str = "C") -> str:
     """Predict a per-residue label string for ``sequence``.
 
-    Every position with a complete window of 2*half_width+1 residues is
-    classified by :func:`classify_window`; the first and last ``half_width``
-    positions (which have no complete window) receive ``boundary_label``.
-    The output has the same length as the input.
+    Every position with a complete window of 2*half_width+1 residues gets
+    the class whose model scores its window highest; equal scores go to the
+    label first in :data:`TIE_BREAK`, so a window every model scores -inf is
+    'H'. All windows are scored in one batch per class model. The first and
+    last ``half_width`` positions (which have no complete window) receive
+    ``boundary_label``. The output has the same length as the input.
     """
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
@@ -119,8 +129,12 @@ def predict_structure(models: ClassModelSet, sequence: str,
     n = encoded.shape[0]
     if n == 0:
         raise EmptySequence("residue sequence is empty")
-    labels = [boundary_label] * n
-    for i in range(half_width, n - half_width):
-        window = encoded[i - half_width:i + half_width + 1]
-        labels[i] = _classify_encoded(models, window).chosen
-    return "".join(labels)
+    labels = np.full(n, ord(boundary_label), dtype=np.uint8)
+    if n > 2 * half_width:
+        windows = np.lib.stride_tricks.sliding_window_view(
+            encoded, 2 * half_width + 1)
+        scores = [_max_product_scores(*_log_params(models[label]), windows)
+                  for label in TIE_BREAK]
+        labels[half_width:n - half_width] = _TIE_BREAK_BYTES[
+            np.argmax(scores, axis=0)]
+    return labels.tobytes().decode("ascii")

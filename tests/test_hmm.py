@@ -18,7 +18,7 @@ from ssph import (Hmm, backward_log_likelihood, baum_welch,
                   forward_log_likelihood, new_random_hmm, sequence_score,
                   viterbi)
 from ssph.errors import EmptyObservation, NoTrainingData, SymbolOutOfRange
-from ssph.hmm import _logsumexp
+from ssph.hmm import _log_params, _logsumexp, _max_product_scores
 
 
 def uniform_hmm(num_states, alphabet_size):
@@ -356,6 +356,76 @@ def test_sequence_score_invariant_under_state_relabeling():
         obs = rng.integers(0, m, size=10).tolist()
         assert sequence_score(model, obs) == \
             pytest.approx(sequence_score(relabeled, obs), rel=1e-10)
+
+
+# ----------------------------------------------------- batched max-product
+
+def random_model_with_zeros(rng, num_states, alphabet_size):
+    """Random model with about a third of its entries exactly 0 (log -inf);
+    each row keeps its largest entry so it still sums to 1."""
+    def rows(shape):
+        u = random_stochastic(rng, shape)
+        drop = rng.random(shape) < 0.35
+        np.put_along_axis(drop, np.argmax(u, axis=-1)[..., None], False, -1)
+        u[drop] = 0.0
+        return u / u.sum(axis=-1, keepdims=True)
+
+    return Hmm(initial=rows(num_states),
+               transition=rows((num_states, num_states)),
+               emission=rows((num_states, alphabet_size)))
+
+
+def batched_scores(model, obs):
+    return _max_product_scores(*_log_params(model), np.asarray(obs))
+
+
+@pytest.mark.parametrize("batch,length", [(1, 1), (1, 9), (6, 1), (6, 9)])
+def test_batched_scores_equal_viterbi_bit_for_bit(batch, length):
+    rng = np.random.default_rng(100 * batch + length)
+    for num_states in (1, 2, 4):
+        for make in (random_model, random_model_with_zeros):
+            model = make(rng, num_states, 3)
+            obs = rng.integers(0, 3, size=(batch, length))
+            scores = batched_scores(model, obs)
+            assert scores.shape == (batch,)
+            for row, score in zip(obs, scores):
+                assert score == viterbi(model, row).log_prob
+
+
+def test_batched_scores_keep_impossible_rows_at_minus_inf():
+    model = Hmm(initial=np.array([1.0]), transition=np.array([[1.0]]),
+                emission=np.array([[1.0, 0.0]]))
+    assert batched_scores(model, [[0, 1, 0], [0, 0, 0]]).tolist() == \
+        [-np.inf, 0.0]
+
+
+def test_batched_scores_agree_with_the_oracle_on_small_cases():
+    for model, obs in small_cases(150, seed=909):
+        best, _ = oracle.best_path_probability(model, obs)
+        score = batched_scores(model, [obs])[0]
+        assert math.exp(score) == pytest.approx(best, rel=1e-10)
+
+
+@st.composite
+def model_and_batch(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=5))
+    batch = draw(st.integers(min_value=1, max_value=6))
+    length = draw(st.integers(min_value=1, max_value=12))
+    zeros = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0,
+                                                 max_value=2**32 - 1)))
+    model = (random_model_with_zeros if zeros else random_model)(rng, n, m)
+    return model, rng.integers(0, m, size=(batch, length))
+
+
+@given(model_and_batch())
+@settings(max_examples=150, deadline=None)
+def test_property_batched_scores_equal_viterbi(case):
+    model, obs = case
+    scores = batched_scores(model, obs)
+    assert [float(s) for s in scores] == \
+        [viterbi(model, row).log_prob for row in obs]
 
 
 # ------------------------------------------------------------------ properties

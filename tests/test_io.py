@@ -264,6 +264,15 @@ def test_parse_models_rejects_wrong_field_count():
         parse_models("\n".join(lines) + "\n")
 
 
+@pytest.mark.parametrize("count", ["\u00b2", "\u0662", "-1", "2.0", ""])
+def test_parse_models_rejects_a_non_ascii_or_malformed_state_count(count):
+    lines = format_models(random_model_set(6)).splitlines()
+    target = lines.index("states 2")
+    lines[target] = f"states {count}"
+    with pytest.raises(ModelFormatError, match=f"line {target + 1}: expected"):
+        parse_models("\n".join(lines) + "\n")
+
+
 def test_parse_models_rejects_trailing_content():
     text = format_models(random_model_set(7)) + "extra junk\n"
     with pytest.raises(ModelFormatError, match="trailing"):

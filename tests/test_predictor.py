@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from helpers import stub_model_set
+from helpers import random_model, stub_model_set
 from ssph import (ALPHABET, ClassModelSet, choose_class, classify_window,
                   encode_residues, fold_residues, new_random_hmm,
-                  planted_models, predict_structure)
+                  planted_models, predict_structure, viterbi)
 from ssph.errors import EmptySequence, EmptyWindow
 
 FIXTURE_SEQUENCE = "ACDEIKLMRSTV"
@@ -36,10 +36,24 @@ def test_fold_residues_handles_case_whitespace_and_unknowns():
     assert fold_residues("BJOUZ") == "XXXXX"
     assert fold_residues("") == ""
     assert fold_residues("ßıﬁ") == "XXX"
+    assert fold_residues("a\u00a0c\u2003d\u3000e\x1cf\tg") == "ACDEFG"
+    assert fold_residues("w*1-.\x00") == "WXXXXX"
+
+
+def test_fold_residues_matches_the_per_character_rule():
+    text = "".join(chr(c) for c in range(0x3100))
+    folded = "".join(ch.upper() if ch.upper() in ALPHABET and ch.isascii()
+                     else "X" for ch in text if not ch.isspace())
+    assert fold_residues(text) == folded
+    assert encode_residues(text).tolist() == [ALPHABET.index(c)
+                                              for c in folded]
 
 
 def test_encode_residues_folds_before_encoding():
     assert encode_residues("AXB").tolist() == [0, 20, 20]
+    assert encode_residues("a x\nß").tolist() == [0, 20, 20]
+    assert encode_residues("").tolist() == []
+    assert encode_residues("ACD").dtype == np.intp
 
 
 # ------------------------------------------------------------- choose_class
@@ -191,3 +205,50 @@ def test_property_interior_labels_follow_the_tie_break_chain(symbols):
     scores = classify_window(models, window)
     pred = predict_structure(models, window, half_width=2)
     assert pred[2] == choose_class(scores.helix, scores.coil, scores.strand)
+
+
+# ------------------------------------------- batched scoring vs the old loop
+
+def reference_predict(models, sequence, half_width, boundary_label):
+    """The per-window loop that batched scoring replaced: three Viterbi
+    scores per window (what sequence_score returned) and choose_class."""
+    encoded = encode_residues(sequence)
+    labels = [boundary_label] * len(encoded)
+    for i in range(half_width, len(encoded) - half_width):
+        window = encoded[i - half_width:i + half_width + 1]
+        helix, coil, strand = (viterbi(models[label], window).log_prob
+                               for label in "HCE")
+        labels[i] = choose_class(helix, coil, strand)
+    return "".join(labels)
+
+
+def regression_model_sets():
+    rng = np.random.default_rng(31)
+    random_set = ClassModelSet.from_labels(
+        {label: random_model(rng, 3, len(ALPHABET)) for label in "HEC"})
+    return [planted_models(0.0), planted_models(0.05), random_set]
+
+
+@pytest.mark.parametrize("boundary_label", ["H", "E", "C"])
+@pytest.mark.parametrize("half_width", [1, 2, 3, 4, 5])
+def test_predict_structure_matches_the_per_window_loop(half_width,
+                                                       boundary_label):
+    rng = np.random.default_rng(half_width)
+    width = 2 * half_width + 1
+    for models in regression_model_sets():
+        for length in (1, width - 1, width, width + 1, 60):
+            seq = "".join(ALPHABET[i] for i in rng.integers(0, 21, length))
+            assert predict_structure(models, seq, half_width, boundary_label) \
+                == reference_predict(models, seq, half_width, boundary_label)
+
+
+def test_window_no_class_can_emit_is_labelled_helix():
+    # With leak 0 each planted model emits only its own third of the
+    # alphabet, so a window mixing the strand (I, K) and coil (R, S, T)
+    # groups scores -inf under all three; the tie-break makes it 'H'.
+    models = planted_models(0.0)
+    scores = classify_window(models, "IKRST")
+    assert scores.helix == scores.coil == scores.strand == -math.inf
+    assert scores.chosen == "H"
+    assert predict_structure(models, "IKRST", half_width=2) == "CCHCC"
+    assert predict_structure(models, "IKRSTIKRST", half_width=2) == "CCHHHHHHCC"
