@@ -24,7 +24,7 @@ def _check_flags(args: argparse.Namespace) -> None:
     for flag, low in (("states", 1), ("window", 1), ("iters", 0), ("seed", 0)):
         if getattr(args, flag, low) < low:
             raise ValueError(f"--{flag} must be >= {low}")
-    if getattr(args, "tol", 1.0) <= 0:
+    if not getattr(args, "tol", 1.0) > 0:  # also rejects NaN
         raise ValueError("--tol must be > 0")
 
 

@@ -1,5 +1,7 @@
-"""Discrete-emission hidden Markov models: Viterbi decoding, forward/backward
-likelihoods, and Baum-Welch re-estimation, all computed in log-space."""
+"""Discrete-emission hidden Markov models: Viterbi decoding in log-space, and
+forward/backward likelihoods and Baum-Welch re-estimation with the scaled
+recursions of Rabiner 1989 (Proc. IEEE 77(2), section V.A) in probability
+space."""
 
 from __future__ import annotations
 
@@ -102,10 +104,9 @@ def _log_params(model: Hmm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                 np.log(model.emission))
 
 
-def _check_obs(model: Hmm, obs: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(obs, dtype=np.intp)
-    if arr.ndim != 1:
-        raise ValueError("observation sequence must be 1-D")
+def _check_symbols(model: Hmm, arr: np.ndarray) -> np.ndarray:
+    """``arr`` (one sequence, or a batch of equal-length ones) if it is
+    non-empty and every symbol is in the model's alphabet."""
     if arr.size == 0:
         raise EmptyObservation("observation sequence is empty")
     if arr.min() < 0 or arr.max() >= model.alphabet_size:
@@ -113,6 +114,27 @@ def _check_obs(model: Hmm, obs: Sequence[int]) -> np.ndarray:
             f"symbols must be in [0, {model.alphabet_size}); "
             f"got range [{arr.min()}, {arr.max()}]")
     return arr
+
+
+def _check_obs(model: Hmm, obs: Sequence[int]) -> np.ndarray:
+    arr = np.asarray(obs, dtype=np.intp)
+    if arr.ndim != 1:
+        raise ValueError("observation sequence must be 1-D")
+    return _check_symbols(model, arr)
+
+
+def _length_batches(model: Hmm, training: Iterable[Sequence[int]]
+                    ) -> list[np.ndarray]:
+    """Training sequences stacked into one integer (batch, length) array per
+    length, shortest first; symbols are checked once per batch."""
+    by_length: dict[int, list[np.ndarray]] = {}
+    for s in training:
+        arr = np.asarray(s)
+        if arr.ndim != 1:
+            raise ValueError("observation sequence must be 1-D")
+        by_length.setdefault(arr.shape[0], []).append(arr)
+    return [_check_symbols(model, np.array(group, dtype=np.intp))
+            for _, group in sorted(by_length.items())]
 
 
 def viterbi(model: Hmm, obs: Sequence[int]) -> ViterbiResult:
@@ -161,93 +183,99 @@ def sequence_score(model: Hmm, obs: Sequence[int]) -> float:
     return float(_max_product_scores(*_log_params(model), o[None, :])[0])
 
 
-def _logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """ln(sum(exp(a))) along ``axis``, as log1p(rest / ties) + log(ties) + top:
-    ``ties`` counts the entries equal to the maximum ``top``, ``rest`` sums
-    exp(x - top) over the others, and an all -inf slice gives -inf. ``a`` has
-    no NaN or +inf. Keep this float order; model files print with ``repr``."""
-    top = np.max(a, axis=axis, keepdims=True)
-    is_top = a == top
-    ties = np.sum(is_top, axis=axis, dtype=float)
-    with np.errstate(invalid="ignore"):  # -inf - -inf = NaN, where() drops it
-        rest = np.sum(np.exp(np.where(is_top, -np.inf, a - top)), axis=axis)
-    return np.log1p(rest / ties) + np.log(ties) + np.squeeze(top, axis)
+def _scaled_forward(model: Hmm, emit: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled forward pass (Rabiner 1989, section V.A) over ``emit``, the
+    (states, length, batch) probability of each observed symbol under each
+    state. Returns the alphas, normalized to sum to 1 at each step, and the
+    (length, batch) scale factors ``c``; ln P(obs) is the sum of ln c.
+
+    A step whose total mass is 0, or underflows double precision, gets
+    ``c = 0`` and all-zero alphas from then on: probability 0."""
+    alpha = np.empty_like(emit)
+    scale = np.empty(emit.shape[1:])
+    a = model.initial[:, None] * emit[:, 0]
+    for t in range(emit.shape[1]):
+        if t:
+            a = (model.transition.T @ alpha[:, t - 1]) * emit[:, t]
+        c = a.sum(axis=0)
+        scale[t] = c
+        alpha[:, t] = a / np.where(c > 0.0, c, 1.0)
+    return alpha, scale
 
 
-def _forward_lattice(log_init: np.ndarray, log_trans: np.ndarray,
-                     log_emit: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Log-alpha lattice, shape (batch, length, states), for a batch of
-    equal-length observation sequences given as an integer (batch, length) array."""
-    batch, length = obs.shape
-    n = log_init.shape[0]
-    alpha = np.empty((batch, length, n))
-    alpha[:, 0] = log_init + log_emit[:, obs[:, 0]].T
-    for t in range(1, length):
-        step = alpha[:, t - 1][:, :, None] + log_trans[None]
-        alpha[:, t] = _logsumexp(step, axis=1) + log_emit[:, obs[:, t]].T
-    return alpha
-
-
-def _backward_lattice(log_init: np.ndarray, log_trans: np.ndarray,
-                      log_emit: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Log-beta lattice matching :func:`_forward_lattice`."""
-    batch, length = obs.shape
-    n = log_init.shape[0]
-    beta = np.zeros((batch, length, n))
-    for t in range(length - 2, -1, -1):
-        step = (log_trans[None]
-                + (log_emit[:, obs[:, t + 1]].T + beta[:, t + 1])[:, None, :])
-        beta[:, t] = _logsumexp(step, axis=2)
+def _scaled_backward(model: Hmm, emit: np.ndarray, scale: np.ndarray
+                     ) -> np.ndarray:
+    """Backward pass matching :func:`_scaled_forward`, divided by the same
+    scale factors, so that alpha * beta is the state posterior."""
+    beta = np.ones_like(emit)
+    safe = np.where(scale > 0.0, scale, 1.0)
+    for t in range(emit.shape[1] - 2, -1, -1):
+        beta[:, t] = model.transition @ (emit[:, t + 1] * beta[:, t + 1]
+                                         / safe[t + 1])
     return beta
 
 
+def _emit_probs(model: Hmm, obs: np.ndarray) -> np.ndarray:
+    """(states, length, batch) emission probabilities of an integer
+    (batch, length) observation array."""
+    return np.take(model.emission, obs.T, axis=1)
+
+
+def _log_total(scale: np.ndarray) -> float:
+    with np.errstate(divide="ignore"):  # ln 0 = -inf: probability 0
+        return float(np.log(scale).sum())
+
+
 def forward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
-    """ln P(obs | model), summing over all state paths with log-sum-exp."""
-    o = _check_obs(model, obs)
-    log_init, log_trans, log_emit = _log_params(model)
-    alpha = _forward_lattice(log_init, log_trans, log_emit, o[None, :])
-    return float(_logsumexp(alpha[0, -1]))
+    """ln P(obs | model), summing over all state paths with the scaled forward
+    recursion. -inf if the probability is 0, also when a step's total mass
+    underflows double precision."""
+    emit = _emit_probs(model, _check_obs(model, obs)[None])
+    return _log_total(_scaled_forward(model, emit)[1])
 
 
 def backward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
-    """ln P(obs | model) via the backward recursion; agrees with the forward
-    value up to roundoff."""
-    o = _check_obs(model, obs)
-    log_init, log_trans, log_emit = _log_params(model)
-    beta = _backward_lattice(log_init, log_trans, log_emit, o[None, :])
-    first = log_init + log_emit[:, o[0]] + beta[0, 0]
-    return float(_logsumexp(first))
+    """ln P(obs | model) via the backward recursion, scaled by the forward
+    pass's factors; agrees with the forward value up to roundoff, and is -inf
+    where that is."""
+    emit = _emit_probs(model, _check_obs(model, obs)[None])
+    _, scale = _scaled_forward(model, emit)
+    beta = _scaled_backward(model, emit, scale)
+    first = model.initial @ (emit[:, 0, 0] * beta[:, 0, 0])
+    return _log_total(np.append(scale[1:], first))
 
 
 def _expected_counts(model: Hmm, batches: list[np.ndarray]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """One E-step over all training sequences (grouped into equal-length
     batches). Returns expected start/transition/emission counts and the total
-    log-likelihood of the data under ``model``."""
-    log_init, log_trans, log_emit = _log_params(model)
+    log-likelihood of the data under ``model``. Raises ``ValueError`` if a
+    sequence has probability 0, which includes a step whose total mass
+    underflows double precision."""
     n, m = model.num_states, model.alphabet_size
     start = np.zeros(n)
     trans = np.zeros((n, n))
     emit = np.zeros((n, m))
     total_ll = 0.0
     for obs in batches:
-        alpha = _forward_lattice(log_init, log_trans, log_emit, obs)
-        beta = _backward_lattice(log_init, log_trans, log_emit, obs)
-        ll = _logsumexp(alpha[:, -1], axis=1)
-        if not np.all(np.isfinite(ll)):
+        obs_emit = _emit_probs(model, obs)
+        alpha, scale = _scaled_forward(model, obs_emit)
+        if not np.all(scale > 0.0):
             raise ValueError(
                 "a training sequence has zero probability under the model")
-        total_ll += float(ll.sum())
-        gamma = np.exp(alpha + beta - ll[:, None, None])
-        start += gamma[:, 0].sum(axis=0)
-        np.add.at(emit.T, obs.reshape(-1), gamma.reshape(-1, n))
+        beta = _scaled_backward(model, obs_emit, scale)
+        total_ll += _log_total(scale)
+        gamma = alpha * beta  # state posteriors, (n, length, batch)
+        start += gamma[:, 0].sum(axis=1)
+        symbols = obs.T.reshape(-1)
+        for k in range(n):
+            emit[k] += np.bincount(symbols, weights=gamma[k].reshape(-1),
+                                   minlength=m)
         if obs.shape[1] > 1:
-            emit_next = log_emit[:, obs].transpose(1, 2, 0)  # (batch, length, n)
-            log_xi = (alpha[:, :-1, :, None]
-                      + log_trans[None, None]
-                      + (emit_next[:, 1:] + beta[:, 1:])[:, :, None, :]
-                      - ll[:, None, None, None])
-            trans += np.exp(log_xi).sum(axis=(0, 1))
+            nxt = obs_emit[:, 1:] * beta[:, 1:] / scale[1:]
+            trans += model.transition * (alpha[:, :-1].reshape(n, -1)
+                                         @ nxt.reshape(n, -1).T)
     return start, trans, emit, total_ll
 
 
@@ -278,20 +306,17 @@ def baum_welch(model: Hmm, training: Iterable[Sequence[int]],
         so no probability is re-estimated to exactly zero.
 
     Returns the re-estimated model and the trace of total log-likelihoods
-    recorded after each iteration.
+    recorded after each iteration. Raises ``ValueError`` if a training
+    sequence has probability 0 under a model it evaluates; a step whose total
+    mass underflows double precision counts as probability 0.
     """
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise ValueError("tol must be > 0")
-    seqs = [_check_obs(model, s) for s in training]
-    if not seqs:
+    batches = _length_batches(model, training)
+    if not batches:
         raise NoTrainingData("training collection is empty")
-
-    by_length: dict[int, list[np.ndarray]] = {}
-    for s in seqs:
-        by_length.setdefault(s.shape[0], []).append(s)
-    batches = [np.stack(group) for _, group in sorted(by_length.items())]
 
     trace: LikelihoodTrace = []
     if max_iters == 0:

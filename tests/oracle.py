@@ -2,8 +2,8 @@
 
 Everything here works in plain probability space by enumerating every hidden
 state path and multiplying entries straight out of the model arrays, so it
-shares no code and no numerical strategy with the log-space dynamic programs
-it is used to check. Only usable for tiny inputs: the number of paths is
+shares no code and no numerical strategy with the dynamic programs it is
+used to check. Only usable for tiny inputs: the number of paths is
 num_states ** len(obs).
 """
 

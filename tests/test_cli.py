@@ -228,10 +228,11 @@ def test_invalid_flag_values_fail_cleanly(tmp_path, chains, capsys):
                  "--states", "0"])
     assert code == 1
     assert "--states" in capsys.readouterr().err
-    code = main(["train", "--data", str(data), "--out", str(tmp_path / "m"),
-                 "--tol", "0"])
-    assert code == 1
-    assert "--tol" in capsys.readouterr().err
+    for tol in ("0", "nan"):
+        code = main(["train", "--data", str(data), "--out",
+                     str(tmp_path / "m"), "--tol", tol])
+        assert code == 1
+        assert "error: --tol must be > 0" in capsys.readouterr().err
     missing = str(tmp_path / "missing")
     for argv, flag in (
             (["train", "--data", str(data), "--out", missing], "--window"),

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,8 @@ from ssph import (Hmm, backward_log_likelihood, baum_welch,
                   forward_log_likelihood, new_random_hmm, sequence_score,
                   viterbi)
 from ssph.errors import EmptyObservation, NoTrainingData, SymbolOutOfRange
-from ssph.hmm import _log_params, _logsumexp, _max_product_scores
+from ssph.hmm import (_expected_counts, _length_batches, _log_params,
+                      _max_product_scores)
 
 
 def uniform_hmm(num_states, alphabet_size):
@@ -217,27 +219,152 @@ def test_likelihood_input_validation(fn):
         fn(model, [0, 9])
 
 
-# --------------------------------------------------------------- log-sum-exp
+# --------------------------------------------------------- zero probability
 
-@pytest.mark.parametrize("axis", [0, 1, 2])
-def test_logsumexp_is_bit_identical_to_scipy(axis):
-    scipy_special = pytest.importorskip("scipy.special")
-    rng = np.random.default_rng(axis)
-    real = rng.normal(0.0, 20.0, (4, 5, 6))
-    real[rng.uniform(size=real.shape) < 0.3] = -np.inf
-    ties = rng.integers(-3, 1, (4, 5, 6)).astype(float)
-    for a in (real, ties):
-        lanes = np.moveaxis(a, axis, -1)  # a view: writes go into ``a``
-        lanes[0, 0] = -np.inf
-        lanes[1, 1] = -2.0
-        expected = scipy_special.logsumexp(a, axis=axis)
-        got = _logsumexp(a, axis=axis)
-        assert got.shape == expected.shape
-        assert np.array_equal(got, expected)
-        for lane in lanes.reshape(-1, lanes.shape[-1]):
-            assert np.array_equal(_logsumexp(lane),
-                                  scipy_special.logsumexp(lane))
+def single_symbol_hmm():
+    """One state that only ever emits symbol 0."""
+    return Hmm(initial=np.array([1.0]), transition=np.array([[1.0]]),
+               emission=np.array([[1.0, 0.0]]))
 
+
+def underflowing_hmm():
+    """Symbol 1 needs the 1e-200 step 0 -> 1 and then a 1e-200 emission, so
+    [0, 1] has probability 1e-400, which underflows double precision."""
+    return Hmm(initial=np.array([1.0, 0.0]),
+               transition=np.array([[1.0, 1e-200], [0.0, 1.0]]),
+               emission=np.array([[1.0, 0.0], [1.0, 1e-200]]))
+
+
+@pytest.mark.parametrize("make", [single_symbol_hmm, underflowing_hmm])
+def test_zero_probability_likelihood_is_minus_inf_without_warnings(make):
+    model = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert forward_log_likelihood(model, [0, 1]) == -np.inf
+        assert backward_log_likelihood(model, [0, 1]) == -np.inf
+        assert forward_log_likelihood(model, [1]) == -np.inf
+        assert backward_log_likelihood(model, [1]) == -np.inf
+
+
+@pytest.mark.parametrize("make", [single_symbol_hmm, underflowing_hmm])
+def test_baum_welch_rejects_a_zero_probability_sequence(make):
+    with pytest.raises(ValueError, match="^a training sequence has zero "
+                                         "probability under the model$"):
+        baum_welch(make(), [[0, 0], [0, 1]], max_iters=3)
+
+
+# ------------------------------------------------------------------ E-step
+
+def enumerated_counts(model, sequences):
+    """Expected start/transition/emission counts and total log-likelihood,
+    summed over every state path of every sequence."""
+    n, m = model.num_states, model.alphabet_size
+    start, trans, emit = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
+    total_ll = 0.0
+    for obs in sequences:
+        paths, probs = oracle.all_path_probabilities(
+            model.initial, model.transition, model.emission, obs)
+        total = probs.sum()
+        total_ll += math.log(total)
+        post = probs / total
+        np.add.at(start, paths[:, 0], post)
+        for t, symbol in enumerate(obs):
+            np.add.at(emit[:, symbol], paths[:, t], post)
+            if t:
+                np.add.at(trans, (paths[:, t - 1], paths[:, t]), post)
+    return start, trans, emit, total_ll
+
+
+def _logsumexp(a, axis=-1):
+    top = np.max(a, axis=axis, keepdims=True)
+    is_top = a == top
+    ties = np.sum(is_top, axis=axis, dtype=float)
+    with np.errstate(invalid="ignore"):
+        rest = np.sum(np.exp(np.where(is_top, -np.inf, a - top)), axis=axis)
+    return np.log1p(rest / ties) + np.log(ties) + np.squeeze(top, axis)
+
+
+def logspace_counts(model, batches):
+    """The log-space E-step that the scaled recursions replaced, kept as a
+    second reference: log-alpha and log-beta lattices, log-sum-exp per step
+    and a (batch, length - 1, states, states) log-xi tensor."""
+    log_init, log_trans, log_emit = _log_params(model)
+    n, m = model.num_states, model.alphabet_size
+    start, trans, emit = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
+    total_ll = 0.0
+    for obs in batches:
+        batch, length = obs.shape
+        alpha = np.empty((batch, length, n))
+        alpha[:, 0] = log_init + log_emit[:, obs[:, 0]].T
+        for t in range(1, length):
+            step = alpha[:, t - 1][:, :, None] + log_trans[None]
+            alpha[:, t] = _logsumexp(step, axis=1) + log_emit[:, obs[:, t]].T
+        beta = np.zeros((batch, length, n))
+        for t in range(length - 2, -1, -1):
+            step = (log_trans[None]
+                    + (log_emit[:, obs[:, t + 1]].T + beta[:, t + 1])[:, None])
+            beta[:, t] = _logsumexp(step, axis=2)
+        ll = _logsumexp(alpha[:, -1], axis=1)
+        total_ll += float(ll.sum())
+        gamma = np.exp(alpha + beta - ll[:, None, None])
+        start += gamma[:, 0].sum(axis=0)
+        np.add.at(emit.T, obs.reshape(-1), gamma.reshape(-1, n))
+        if length > 1:
+            emit_next = log_emit[:, obs].transpose(1, 2, 0)
+            log_xi = (alpha[:, :-1, :, None]
+                      + log_trans[None, None]
+                      + (emit_next[:, 1:] + beta[:, 1:])[:, :, None, :]
+                      - ll[:, None, None, None])
+            trans += np.exp(log_xi).sum(axis=(0, 1))
+    return start, trans, emit, total_ll
+
+
+def assert_counts_close(got, expected, tol):
+    for a, b in zip(got[:3], expected[:3]):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b)) <= tol
+    assert abs(got[3] - expected[3]) <= tol
+
+
+def sample(rng, model, length):
+    """Observations drawn from ``model``, so their probability is nonzero."""
+    state = rng.choice(model.num_states, p=model.initial)
+    obs = []
+    for _ in range(length):
+        obs.append(int(rng.choice(model.alphabet_size,
+                                  p=model.emission[state])))
+        state = rng.choice(model.num_states, p=model.transition[state])
+    return obs
+
+
+def test_expected_counts_match_enumeration_on_small_cases():
+    rng = np.random.default_rng(1212)
+    for i, (model, _) in enumerate(small_cases(120, seed=1111)):
+        if i % 2:
+            model = random_model_with_zeros(rng, model.num_states,
+                                            model.alphabet_size)
+        # Mixed lengths in one call, length 1 included, some repeated.
+        lengths = [1, int(rng.integers(1, 8)), int(rng.integers(2, 8)), 4, 4]
+        seqs = [sample(rng, model, k) for k in lengths]
+        got = _expected_counts(model, _length_batches(model, seqs))
+        assert_counts_close(got, enumerated_counts(model, seqs), 1e-10)
+
+
+def test_expected_counts_match_the_log_space_e_step():
+    rng = np.random.default_rng(1313)
+    for num_states, alphabet_size, lengths in (
+            (3, 21, [11] * 300),
+            (4, 6, [1, 1, 2, 5, 5, 40, 40, 40]),
+            (2, 3, [200, 200, 150])):
+        for make in (random_model, random_model_with_zeros):
+            model = make(rng, num_states, alphabet_size)
+            seqs = [sample(rng, model, k) for k in lengths]
+            batches = _length_batches(model, seqs)
+            assert_counts_close(_expected_counts(model, batches),
+                                logspace_counts(model, batches), 1e-9)
+
+
+# ------------------------------------------------------------ dependencies
 
 def test_importing_the_cli_does_not_load_scipy():
     src = str(Path(ssph.__file__).resolve().parents[1])
@@ -332,8 +459,9 @@ def test_baum_welch_rejects_bad_arguments():
     model = uniform_hmm(2, 4)
     with pytest.raises(ValueError):
         baum_welch(model, [[0]], max_iters=-1)
-    with pytest.raises(ValueError):
-        baum_welch(model, [[0]], tol=0.0)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError, match="tol"):
+            baum_welch(model, [[0]], tol=tol)
 
 
 # ------------------------------------------------------------- sequence_score
