@@ -204,15 +204,21 @@ def _scaled_forward(model: Hmm, emit: np.ndarray
     return alpha, scale
 
 
-def _scaled_backward(model: Hmm, emit: np.ndarray, scale: np.ndarray
-                     ) -> np.ndarray:
+def _scaled_backward(model: Hmm, emit: np.ndarray, alpha: np.ndarray,
+                     scale: np.ndarray) -> np.ndarray:
     """Backward pass matching :func:`_scaled_forward`, divided by the same
-    scale factors, so that alpha * beta is the state posterior."""
-    beta = np.ones_like(emit)
+    scale factors, so that alpha * beta is the state posterior.
+
+    Beta is set to 0 wherever alpha is 0. The scaling bounds beta only for
+    states the forward pass reaches; an unreachable state's beta could grow
+    without limit and turn ``0 * inf`` into NaN. Zeroing it is exact: if
+    alpha(t+1, j) = 0 then a(i, j) e_j(o_t+1) = 0 for every i with
+    alpha(t, i) > 0, so no reachable beta and no posterior changes."""
+    beta = np.where(alpha > 0.0, 1.0, 0.0)
     safe = np.where(scale > 0.0, scale, 1.0)
     for t in range(emit.shape[1] - 2, -1, -1):
-        beta[:, t] = model.transition @ (emit[:, t + 1] * beta[:, t + 1]
-                                         / safe[t + 1])
+        beta[:, t] *= model.transition @ (emit[:, t + 1] * beta[:, t + 1]
+                                          / safe[t + 1])
     return beta
 
 
@@ -240,8 +246,8 @@ def backward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
     pass's factors; agrees with the forward value up to roundoff, and is -inf
     where that is."""
     emit = _emit_probs(model, _check_obs(model, obs)[None])
-    _, scale = _scaled_forward(model, emit)
-    beta = _scaled_backward(model, emit, scale)
+    alpha, scale = _scaled_forward(model, emit)
+    beta = _scaled_backward(model, emit, alpha, scale)
     first = model.initial @ (emit[:, 0, 0] * beta[:, 0, 0])
     return _log_total(np.append(scale[1:], first))
 
@@ -264,7 +270,7 @@ def _expected_counts(model: Hmm, batches: list[np.ndarray]
         if not np.all(scale > 0.0):
             raise ValueError(
                 "a training sequence has zero probability under the model")
-        beta = _scaled_backward(model, obs_emit, scale)
+        beta = _scaled_backward(model, obs_emit, alpha, scale)
         total_ll += _log_total(scale)
         gamma = alpha * beta  # state posteriors, (n, length, batch)
         start += gamma[:, 0].sum(axis=1)

@@ -253,6 +253,53 @@ def test_baum_welch_rejects_a_zero_probability_sequence(make):
         baum_welch(make(), [[0, 0], [0, 1]], max_iters=3)
 
 
+# -------------------------------------------------------- unreachable states
+
+# State 1 is never entered, and emits symbol 0 with probability 1 against
+# state 0's 1/21, so without a guard its scaled beta grows by 21 per step
+# (or 10.5 when it can leave to state 0) and overflows within 400 steps.
+UNREACHABLE_TRANSITIONS = ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.5, 0.5]])
+
+
+def unreachable_state_hmm(transition):
+    return Hmm(initial=np.array([1.0, 0.0]), transition=np.array(transition),
+               emission=np.array([[1 / 21] * 21, [1.0] + [0.0] * 20]))
+
+
+@pytest.mark.parametrize("transition", UNREACHABLE_TRANSITIONS)
+def test_unreachable_state_keeps_long_likelihoods_finite(transition):
+    model = unreachable_state_hmm(transition)
+    obs = [0] * 400
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = forward_log_likelihood(model, obs)
+        b = backward_log_likelihood(model, obs)
+    assert f == pytest.approx(400 * math.log(1 / 21), rel=1e-12)
+    assert abs(f - b) <= 1e-8
+
+
+@pytest.mark.parametrize("transition", UNREACHABLE_TRANSITIONS)
+def test_unreachable_state_trains_without_error(transition):
+    model = unreachable_state_hmm(transition)
+    seqs = [[0] * 400, [0] * 400, [0, 1, 2] * 100]
+    batches = _length_batches(model, seqs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _expected_counts(model, batches)
+        _, trace = baum_welch(model, seqs, max_iters=5, tol=1e-12)
+    # Every path stays in state 0, so the counts are exact integers.
+    emit = np.zeros((2, 21))
+    emit[0, :3] = [900, 100, 100]
+    exact = (np.array([3.0, 0.0]), np.array([[1097.0, 0.0], [0.0, 0.0]]),
+             emit, 1100 * math.log(1 / 21))
+    assert_counts_close(got, exact, 1e-9)
+    # One step reaches the maximum, state 0 emitting 0, 1, 2 at 9/11, 1/11,
+    # 1/11, up to the pull of the pseudocount floor.
+    best = 900 * math.log(9 / 11) + 200 * math.log(1 / 11)
+    assert trace[0] == pytest.approx(best, abs=1e-4)
+    assert trace[-1] == pytest.approx(best, abs=1e-4)
+
+
 # ------------------------------------------------------------------ E-step
 
 def enumerated_counts(model, sequences):
