@@ -2,8 +2,9 @@
 
 Samples observation sequences from one of the planted class models, then
 re-estimates a randomly initialized model on them. The log-likelihood trace
-is non-decreasing, and the learned emissions concentrate on the same residue
-group the planted model uses.
+rises (EM's pseudocount floor can pull it down by a hair near convergence),
+and the learned emissions concentrate on the same residue group the planted
+model uses.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import numpy as np
 from ssph import baum_welch, new_random_hmm, planted_models, sample_observations
 from ssph.synthetic import CLASS_RESIDUE_GROUPS
 
-planted = planted_models(leak=0.05).helix
+planted = planted_models(leak=0.05)["H"]
 rng = np.random.default_rng(42)
 training = [sample_observations(planted, 40, rng) for _ in range(60)]
 print(f"sampled {len(training)} sequences of length 40 from the planted model")
@@ -22,8 +23,7 @@ trained, trace = baum_welch(start, training, max_iters=40, tol=1e-9)
 print(f"\nlog-likelihood over {len(trace)} iterations:")
 print(f"  first {trace[0]:.2f}  ->  last {trace[-1]:.2f}")
 deltas = np.diff(trace)
-print(f"  smallest per-iteration change: {deltas.min():.2e} (never negative "
-      "beyond roundoff)")
+print(f"  smallest per-iteration change: {deltas.min():.2e}")
 
 group = CLASS_RESIDUE_GROUPS["H"]
 for name, model in (("planted", planted), ("trained", trained)):

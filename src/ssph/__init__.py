@@ -15,9 +15,8 @@ from .io import (FastaRecord, LabeledRecord, format_fasta,
                  parse_models, read_models, write_models)
 from .metrics import (confusion, format_report, format_report_csv,
                       per_class_recall, q3)
-from .predictor import (ALPHABET, ClassModelSet, WindowScores, choose_class,
-                        classify_window, encode_residues, fold_residues,
-                        predict_structure)
+from .predictor import (ALPHABET, ClassModelSet, encode_residues,
+                        fold_residues, predict_structure)
 from .synthetic import planted_dataset, planted_models, sample_observations
 from .training import class_windows, train_models
 
@@ -33,12 +32,9 @@ __all__ = [
     "LabeledRecord",
     "LikelihoodTrace",
     "ViterbiResult",
-    "WindowScores",
     "backward_log_likelihood",
     "baum_welch",
-    "choose_class",
     "class_windows",
-    "classify_window",
     "confusion",
     "encode_residues",
     "fold_residues",

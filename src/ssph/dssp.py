@@ -15,6 +15,7 @@ _REDUCTION = {
     "E": "E", "B": "E",
     "T": "C", "S": "C", "C": "C",
 }
+_REDUCE = str.maketrans(_REDUCTION)
 
 
 def reduce_dssp(label: str) -> str:
@@ -29,9 +30,9 @@ def reduce_dssp(label: str) -> str:
 def reduce_dssp_string(labels: str) -> str:
     """Reduce every character of a DSSP label string, reporting the first
     offending character with its position."""
-    out = []
-    for pos, ch in enumerate(labels):
-        if ch not in _REDUCTION:
-            raise UnknownDsspCode(f"position {pos}: {ch!r} is not a DSSP code")
-        out.append(_REDUCTION[ch])
-    return "".join(out)
+    reduced = labels.translate(_REDUCE)  # unknown characters pass unchanged
+    rest = reduced.lstrip(CLASS_ORDER)
+    if rest:
+        raise UnknownDsspCode(f"position {len(reduced) - len(rest)}: "
+                              f"{rest[0]!r} is not a DSSP code")
+    return reduced

@@ -21,10 +21,6 @@ class UnknownDsspCode(SsphError):
     """A label character is not one of the eight DSSP codes."""
 
 
-class EmptyWindow(SsphError):
-    """classify_window was given an empty residue window."""
-
-
 class EmptySequence(SsphError):
     """The predictor was given an empty residue sequence."""
 

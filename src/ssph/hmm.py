@@ -14,8 +14,9 @@ from .errors import EmptyObservation, NoTrainingData, SymbolOutOfRange
 
 ROW_SUM_TOL = 1e-9
 
-# A likelihood trace is the total log-likelihood recorded after each
-# Baum-Welch iteration; it is non-decreasing up to numerical slack.
+# Total log-likelihood after each Baum-Welch iteration. With pseudocount > 0
+# this is MAP-EM, which never lowers log-likelihood + pseudocount * (sum of ln
+# of every model entry); the likelihood alone can dip near convergence.
 LikelihoodTrace = list[float]
 
 
@@ -105,19 +106,22 @@ def _log_params(model: Hmm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _check_symbols(model: Hmm, arr: np.ndarray) -> np.ndarray:
-    """``arr`` (one sequence, or a batch of equal-length ones) if it is
-    non-empty and every symbol is in the model's alphabet."""
+    """``arr`` (one sequence, or a batch of equal-length ones) as ``intp``,
+    if it is a non-empty integer array within the model's alphabet."""
     if arr.size == 0:
         raise EmptyObservation("observation sequence is empty")
+    if arr.dtype.kind not in "iu":
+        raise ValueError("observation symbols must be integers, "
+                         f"got dtype {arr.dtype}")
     if arr.min() < 0 or arr.max() >= model.alphabet_size:
         raise SymbolOutOfRange(
             f"symbols must be in [0, {model.alphabet_size}); "
             f"got range [{arr.min()}, {arr.max()}]")
-    return arr
+    return arr.astype(np.intp, copy=False)
 
 
 def _check_obs(model: Hmm, obs: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(obs, dtype=np.intp)
+    arr = np.asarray(obs)
     if arr.ndim != 1:
         raise ValueError("observation sequence must be 1-D")
     return _check_symbols(model, arr)
@@ -133,7 +137,7 @@ def _length_batches(model: Hmm, training: Iterable[Sequence[int]]
         if arr.ndim != 1:
             raise ValueError("observation sequence must be 1-D")
         by_length.setdefault(arr.shape[0], []).append(arr)
-    return [_check_symbols(model, np.array(group, dtype=np.intp))
+    return [_check_symbols(model, np.array(group))
             for _, group in sorted(by_length.items())]
 
 

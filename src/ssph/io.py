@@ -271,7 +271,7 @@ def parse_models(text: str) -> ClassModelSet:
     if not cursor.done():
         raise ModelFormatError(
             f"line {cursor.line_no + 1}: trailing content after model blocks")
-    return ClassModelSet.from_labels(models)
+    return ClassModelSet(models)
 
 
 def write_models(models: ClassModelSet, destination: str | Path) -> None:

@@ -7,7 +7,7 @@ import numpy as np
 from .dssp import CLASS_ORDER
 from .errors import LengthMismatch, NoResidues
 
-_CLASS_INDEX = {c: i for i, c in enumerate(CLASS_ORDER)}
+_TO_INDEX = str.maketrans({c: chr(i) for i, c in enumerate(CLASS_ORDER)})
 
 
 def confusion(pred: str, truth: str) -> np.ndarray:
@@ -16,15 +16,14 @@ def confusion(pred: str, truth: str) -> np.ndarray:
     if len(pred) != len(truth):
         raise LengthMismatch(
             f"prediction length {len(pred)} != truth length {len(truth)}")
-    matrix = np.zeros((3, 3), dtype=np.int64)
-    for p, t in zip(pred, truth):
-        try:
-            matrix[_CLASS_INDEX[t], _CLASS_INDEX[p]] += 1
-        except KeyError:
-            bad = t if t not in _CLASS_INDEX else p
-            raise ValueError(
-                f"label {bad!r} is not one of {CLASS_ORDER!r}") from None
-    return matrix
+    # First position of a label outside the classes (the length if none).
+    t_bad, p_bad = (len(s) - len(s.lstrip(CLASS_ORDER)) for s in (truth, pred))
+    if min(t_bad, p_bad) < len(truth):
+        bad = truth[t_bad] if t_bad <= p_bad else pred[p_bad]
+        raise ValueError(f"label {bad!r} is not one of {CLASS_ORDER!r}")
+    t, p = (np.frombuffer(s.translate(_TO_INDEX).encode("ascii"), np.uint8)
+            for s in (truth, pred))
+    return np.bincount(3 * t + p, minlength=9).reshape(3, 3)
 
 
 def q3(matrix: np.ndarray) -> float:

@@ -8,14 +8,14 @@ together, one batched max-product pass per class model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .dssp import CLASS_ORDER
-from .errors import EmptySequence, EmptyWindow
-from .hmm import Hmm, _log_params, _max_product_scores, sequence_score
+from .errors import EmptySequence
+from .hmm import Hmm, _log_params, _max_product_scores
+from .hmm import sequence_score  # noqa: F401 (perfbench traces it here)
 
 # Residue alphabet: the 20 canonical amino acids plus 'X' for anything else.
 # Symbol indices follow this ordering (A=0 ... X=20).
@@ -54,60 +54,27 @@ def encode_residues(sequence: str) -> np.ndarray:
     return _INDEX[np.frombuffer(folded, dtype=np.uint8)]
 
 
-_FIELD_OF = dict(zip(CLASS_ORDER, ("helix", "strand", "coil")))
+_CLASS_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
 
 
-@dataclass(frozen=True)
 class ClassModelSet:
-    """The three per-class models, all over the 21-letter residue alphabet.
-    ``models[label]`` gives the model of one class in :data:`CLASS_ORDER`."""
+    """The three per-class models, all over the 21-letter residue alphabet,
+    built from a mapping keyed by class label and held in
+    :data:`CLASS_ORDER`. ``models[label]`` gives the model of one class."""
 
-    helix: Hmm
-    strand: Hmm
-    coil: Hmm
-
-    @classmethod
-    def from_labels(cls, models: Mapping[str, Hmm]) -> ClassModelSet:
-        """Build the set from a mapping keyed by class label."""
-        return cls(**{_FIELD_OF[label]: models[label] for label in CLASS_ORDER})
+    def __init__(self, models: Mapping[str, Hmm]) -> None:
+        if set(models) != set(CLASS_ORDER):
+            raise ValueError(f"expected one model per label in "
+                             f"{CLASS_ORDER!r}, got labels {list(models)!r}")
+        for label in CLASS_ORDER:
+            size = models[label].alphabet_size
+            if size != len(ALPHABET):
+                raise ValueError(f"{label} model has alphabet size {size}, "
+                                 f"expected {len(ALPHABET)}")
+        self._models = tuple(models[label] for label in CLASS_ORDER)
 
     def __getitem__(self, label: str) -> Hmm:
-        return getattr(self, _FIELD_OF[label])
-
-    def __post_init__(self) -> None:
-        for label, name in _FIELD_OF.items():
-            size = self[label].alphabet_size
-            if size != len(ALPHABET):
-                raise ValueError(f"{name} model has alphabet size {size}, "
-                                 f"expected {len(ALPHABET)}")
-
-
-@dataclass(frozen=True)
-class WindowScores:
-    """Log-scores of one window under each class model plus the chosen label."""
-
-    helix: float
-    coil: float
-    strand: float
-    chosen: str
-
-
-def choose_class(helix: float, coil: float, strand: float) -> str:
-    """Argmax over the three scores with the fixed tie-break order
-    helix > coil > strand (helix wins a three-way tie; coil wins a
-    coil/strand tie)."""
-    scores = (helix, coil, strand)  # in TIE_BREAK order
-    return TIE_BREAK[scores.index(max(scores))]
-
-
-def classify_window(models: ClassModelSet, window: str) -> WindowScores:
-    """Score one residue window under all three class models."""
-    encoded = encode_residues(window)
-    if encoded.size == 0:
-        raise EmptyWindow("window is empty")
-    helix, coil, strand = (sequence_score(models[label], encoded)
-                           for label in TIE_BREAK)
-    return WindowScores(helix, coil, strand, choose_class(helix, coil, strand))
+        return self._models[_CLASS_INDEX[label]]
 
 
 def predict_structure(models: ClassModelSet, sequence: str,

@@ -45,8 +45,8 @@ def planted_models(leak: float = 0.0) -> ClassModelSet:
     """Deterministic planted model set with disjoint per-class residue groups."""
     if not 0.0 <= leak < 1.0:
         raise ValueError("leak must be in [0, 1)")
-    return ClassModelSet.from_labels(
-        {c: _planted_hmm(CLASS_RESIDUE_GROUPS[c], leak) for c in CLASS_ORDER})
+    return ClassModelSet({c: _planted_hmm(CLASS_RESIDUE_GROUPS[c], leak)
+                          for c in CLASS_ORDER})
 
 
 def sample_observations(model: Hmm, length: int,

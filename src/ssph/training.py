@@ -56,4 +56,4 @@ def train_models(records: list[LabeledRecord], *, num_states: int = 2,
         trained[label], traces[label] = baum_welch(
             init, windows[label], max_iters=max_iters, tol=tol,
             pseudocount=pseudocount)
-    return ClassModelSet.from_labels(trained), traces
+    return ClassModelSet(trained), traces

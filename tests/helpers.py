@@ -43,8 +43,17 @@ def single_state_profile(group, in_weight=3.0, out_weight=0.25):
                emission=(weights / weights.sum())[None, :])
 
 
+def single_symbol_stub(p):
+    """One-state model that emits 'A' (symbol 0) with probability ``p`` and
+    each other symbol with (1 - p) / 20: k 'A's score k ln p."""
+    emission = np.full(21, (1.0 - p) / 20)
+    emission[0] = p
+    return Hmm(initial=np.array([1.0]), transition=np.array([[1.0]]),
+               emission=emission[None, :])
+
+
 def stub_model_set():
     """Three single-state models over disjoint thirds of the alphabet."""
-    return ClassModelSet(helix=single_state_profile(np.arange(0, 7)),
-                         strand=single_state_profile(np.arange(7, 14)),
-                         coil=single_state_profile(np.arange(14, 21)))
+    return ClassModelSet({"H": single_state_profile(np.arange(0, 7)),
+                          "E": single_state_profile(np.arange(7, 14)),
+                          "C": single_state_profile(np.arange(14, 21))})

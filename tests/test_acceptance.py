@@ -11,13 +11,12 @@ import time
 import numpy as np
 
 import oracle
-from helpers import random_model, small_cases
-from ssph import (Hmm, ClassModelSet, FastaRecord, backward_log_likelihood,
-                  baum_welch, choose_class, classify_window, confusion,
-                  format_fasta, forward_log_likelihood, new_random_hmm,
-                  parse_fasta, per_class_recall, planted_dataset,
-                  predict_structure, q3, read_models, reduce_dssp,
-                  train_models, viterbi, write_models)
+from helpers import random_model, single_symbol_stub, small_cases
+from ssph import (ClassModelSet, FastaRecord, backward_log_likelihood,
+                  baum_welch, confusion, format_fasta, forward_log_likelihood,
+                  new_random_hmm, parse_fasta, per_class_recall,
+                  planted_dataset, predict_structure, q3, read_models,
+                  reduce_dssp, train_models, viterbi, write_models)
 from ssph.cli import main
 from ssph.io import format_label_records, format_labeled_dataset
 
@@ -93,26 +92,19 @@ def test_acceptance_3_em_monotonicity():
 
 
 def test_acceptance_4_worked_window_fixture():
-    # Injected score triple behind the argmax routine.
-    injected = choose_class(math.log(0.3), math.log(0.6), math.log(0.4))
-
     # Stub models whose single-symbol window probabilities are exactly
     # 0.3 (helix), 0.4 (strand), 0.6 (coil).
-    def stub(p):
-        emission = np.full(21, (1.0 - p) / 20)
-        emission[0] = p
-        return Hmm(initial=np.array([1.0]), transition=np.array([[1.0]]),
-                   emission=emission[None, :])
-
-    models = ClassModelSet(helix=stub(0.3), strand=stub(0.4), coil=stub(0.6))
-    scores = classify_window(models, "A")
-    recovered = (math.exp(scores.helix), math.exp(scores.strand),
-                 math.exp(scores.coil))
-    ok = injected == "C" and scores.chosen == "C" and all(
+    models = ClassModelSet({"H": single_symbol_stub(0.3),
+                            "E": single_symbol_stub(0.4),
+                            "C": single_symbol_stub(0.6)})
+    pred = predict_structure(models, "AAA", half_width=1, boundary_label="H")
+    recovered = tuple(math.exp(viterbi(models[label], [0]).log_prob)
+                      for label in "HEC")
+    ok = pred == "HCH" and all(
         abs(got - want) <= 1e-12
         for got, want in zip(recovered, (0.3, 0.4, 0.6)))
     report(4, "max {0.3, 0.4, 0.6} selects coil", ok,
-           f"injected -> {injected!r}, stub models -> {scores.chosen!r}")
+           f"stub models -> {pred!r}, window probabilities {recovered}")
 
 
 def test_acceptance_5_dssp_reduction():
@@ -148,18 +140,15 @@ def test_acceptance_7_round_trips(tmp_path):
     model_ok = 0
     for i in range(100):
         states = int(rng.integers(1, 5))
-        models = ClassModelSet(helix=random_model(rng, states, 21),
-                               strand=random_model(rng, states, 21),
-                               coil=random_model(rng, states, 21))
+        models = ClassModelSet({label: random_model(rng, states, 21)
+                                for label in "HEC"})
         path = tmp_path / f"m{i}.txt"
         write_models(models, path)
         loaded = read_models(path)
-        if all(np.array_equal(getattr(loaded, f).initial, getattr(models, f).initial)
-               and np.array_equal(getattr(loaded, f).transition,
-                                  getattr(models, f).transition)
-               and np.array_equal(getattr(loaded, f).emission,
-                                  getattr(models, f).emission)
-               for f in ("helix", "strand", "coil")):
+        if all(np.array_equal(loaded[c].initial, models[c].initial)
+               and np.array_equal(loaded[c].transition, models[c].transition)
+               and np.array_equal(loaded[c].emission, models[c].emission)
+               for c in "HEC"):
             model_ok += 1
 
     alphabet = "ACDEFGHIKLMNPQRSTVWYX"

@@ -1,5 +1,7 @@
 """Eight-class to three-class label reduction."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -61,3 +63,15 @@ def test_property_reduction_preserves_length_and_alphabet(labels):
 @given(st.text(alphabet="HEC", max_size=100))
 def test_property_reduction_is_identity_on_three_class_strings(labels):
     assert reduce_dssp_string(labels) == labels
+
+
+@given(st.text(alphabet=DSSP_CODES + "hXZ\n é", max_size=60))
+def test_property_reduction_matches_the_per_character_rule(labels):
+    bad = [(pos, ch) for pos, ch in enumerate(labels) if ch not in EXPECTED]
+    if bad:
+        pos, ch = bad[0]
+        message = f"position {pos}: {ch!r} is not a DSSP code"
+        with pytest.raises(UnknownDsspCode, match=f"^{re.escape(message)}$"):
+            reduce_dssp_string(labels)
+    else:
+        assert reduce_dssp_string(labels) == "".join(map(EXPECTED.get, labels))

@@ -20,7 +20,7 @@ from ssph import (Hmm, backward_log_likelihood, baum_welch,
                   viterbi)
 from ssph.errors import EmptyObservation, NoTrainingData, SymbolOutOfRange
 from ssph.hmm import (_expected_counts, _length_batches, _log_params,
-                      _max_product_scores)
+                      _max_product_scores, _reestimate)
 
 
 def uniform_hmm(num_states, alphabet_size):
@@ -219,6 +219,28 @@ def test_likelihood_input_validation(fn):
         fn(model, [0, 9])
 
 
+def test_non_integer_observations_are_rejected():
+    model = uniform_hmm(2, 4)
+    scorers = (viterbi, sequence_score, forward_log_likelihood,
+               backward_log_likelihood,
+               lambda m, obs: baum_welch(m, [obs], max_iters=1))
+    for score in scorers:
+        for obs in ([1.7], ["1"], np.array([1.9, 0.2]), [True, False],
+                    [0.5, 2.9, 1.2]):
+            with pytest.raises(ValueError, match="^observation symbols "
+                                                 "must be integers"):
+                score(model, obs)
+        with pytest.raises(EmptyObservation):  # np.asarray([]) is float
+            score(model, [])
+    with pytest.raises(ValueError, match="must be integers"):
+        baum_welch(model, [[0, 1], [0.5, 1.0]])
+    for dtype in (np.uint8, np.int32, np.uint64):
+        obs = np.array([0, 3, 1], dtype=dtype)
+        assert viterbi(model, obs) == viterbi(model, [0, 3, 1])
+        assert forward_log_likelihood(model, obs) == \
+            forward_log_likelihood(model, [0, 3, 1])
+
+
 # --------------------------------------------------------- zero probability
 
 def single_symbol_hmm():
@@ -298,6 +320,52 @@ def test_unreachable_state_trains_without_error(transition):
     best = 900 * math.log(9 / 11) + 200 * math.log(1 / 11)
     assert trace[0] == pytest.approx(best, abs=1e-4)
     assert trace[-1] == pytest.approx(best, abs=1e-4)
+
+
+# ---------------------------------------------------------- MAP-EM objective
+
+def map_objective_steps(model, sequences, pseudocount, iters):
+    """Log-likelihoods and MAP-EM objectives of the models that ``iters``
+    Baum-Welch steps produce. With a pseudocount floor, EM maximizes
+    log-likelihood + pseudocount * (sum of ln of every model entry), the
+    log-posterior under a Dirichlet prior; only that sum must not fall."""
+    batches = _length_batches(model, sequences)
+    counts = _expected_counts(model, batches)
+    lls, objectives = [], []
+    for _ in range(iters):
+        model = _reestimate(*counts[:3], pseudocount)
+        counts = _expected_counts(model, batches)
+        log_prior = sum(np.log(rows).sum() for rows in
+                        (model.initial, model.transition, model.emission))
+        lls.append(counts[3])
+        objectives.append(counts[3] + pseudocount * log_prior)
+    return np.array(lls), np.array(objectives)
+
+
+def assert_never_falls(objectives):
+    drops = np.diff(objectives) / np.abs(objectives[:-1])
+    assert drops.min() >= -1e-9
+
+
+@pytest.mark.parametrize("transition", UNREACHABLE_TRANSITIONS)
+def test_em_objective_never_falls_where_the_likelihood_does(transition):
+    model = unreachable_state_hmm(transition)
+    seqs = [[0] * 300, [0] * 300, [0, 1, 2] * 100]
+    lls, objectives = map_objective_steps(model, seqs, 1e-6, 30)
+    assert np.diff(lls).min() < -1e-8  # the pseudocount floor's pull
+    assert_never_falls(objectives)
+
+
+@pytest.mark.parametrize("pseudocount", [1e-6, 1e-3, 0.1, 1.0])
+def test_em_objective_never_falls_on_random_models(pseudocount):
+    rng = np.random.default_rng(4004)
+    for _ in range(20):
+        m = int(rng.integers(2, 7))
+        model = random_model(rng, int(rng.integers(1, 4)), m)
+        seqs = [rng.integers(0, m, size=int(rng.integers(1, 30)))
+                for _ in range(int(rng.integers(1, 8)))]
+        assert_never_falls(map_objective_steps(model, seqs, pseudocount,
+                                               20)[1])
 
 
 # ------------------------------------------------------------------ E-step

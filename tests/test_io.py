@@ -21,17 +21,16 @@ from ssph.io import atomic_write_text
 
 def models_equal(a, b):
     return all(
-        np.array_equal(getattr(a, name).initial, getattr(b, name).initial)
-        and np.array_equal(getattr(a, name).transition, getattr(b, name).transition)
-        and np.array_equal(getattr(a, name).emission, getattr(b, name).emission)
-        for name in ("helix", "strand", "coil"))
+        np.array_equal(a[label].initial, b[label].initial)
+        and np.array_equal(a[label].transition, b[label].transition)
+        and np.array_equal(a[label].emission, b[label].emission)
+        for label in "HEC")
 
 
 def random_model_set(seed, num_states=2):
     rng = np.random.default_rng(seed)
-    return ClassModelSet(helix=random_model(rng, num_states, 21),
-                         strand=random_model(rng, num_states, 21),
-                         coil=random_model(rng, num_states, 21))
+    return ClassModelSet({label: random_model(rng, num_states, 21)
+                          for label in "HEC"})
 
 
 # --------------------------------------------------------------------- fasta

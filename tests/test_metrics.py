@@ -1,5 +1,7 @@
 """Confusion matrix, Q3, and per-class recall."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -130,3 +132,41 @@ def test_property_joint_permutation_invariance(labels, rnd):
 def test_property_total_count_equals_length(a, b):
     n = min(len(a), len(b))
     assert confusion(a[:n], b[:n]).sum() == n
+
+
+@pytest.mark.parametrize("pred,truth,bad", [
+    ("HHX", "HQC", "Q"),   # truth is bad first
+    ("HXC", "HEQ", "X"),   # prediction is bad first
+    ("HXC", "HQC", "Q"),   # both bad at one position: truth wins
+    ("HEC\n", "HECé", "é"),
+])
+def test_confusion_names_the_first_bad_label(pred, truth, bad):
+    message = f"label {bad!r} is not one of 'HEC'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        confusion(pred, truth)
+
+
+def loop_confusion(pred, truth):
+    """Per-character reference: the label at the first position where either
+    string is bad, truth before prediction."""
+    index = {c: i for i, c in enumerate("HEC")}
+    matrix = np.zeros((3, 3), dtype=np.int64)
+    for p, t in zip(pred, truth):
+        if t not in index or p not in index:
+            return t if t not in index else p
+        matrix[index[t], index[p]] += 1
+    return matrix
+
+
+@given(st.lists(st.tuples(st.sampled_from("HECHECHECXh\né"),
+                          st.sampled_from("HECHECHECXh\né")), max_size=40))
+def test_property_confusion_matches_the_per_character_loop(pairs):
+    pred = "".join(p for p, _ in pairs)
+    truth = "".join(t for _, t in pairs)
+    expected = loop_confusion(pred, truth)
+    if isinstance(expected, str):
+        message = f"label {expected!r} is not one of 'HEC'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            confusion(pred, truth)
+    else:
+        assert np.array_equal(confusion(pred, truth), expected)

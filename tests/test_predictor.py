@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from helpers import random_model, stub_model_set
-from ssph import (ALPHABET, ClassModelSet, choose_class, classify_window,
-                  encode_residues, fold_residues, new_random_hmm,
-                  planted_models, predict_structure, viterbi)
-from ssph.errors import EmptySequence, EmptyWindow
+from helpers import random_model, single_symbol_stub, stub_model_set
+from ssph import (ALPHABET, ClassModelSet, encode_residues, fold_residues,
+                  new_random_hmm, planted_models, predict_structure, viterbi)
+from ssph.errors import EmptySequence
+from ssph.hmm import _log_params, _max_product_scores
 
 FIXTURE_SEQUENCE = "ACDEIKLMRSTV"
 # Expected labels for the stub models with half_width 2, frozen from the
@@ -56,70 +56,80 @@ def test_encode_residues_folds_before_encoding():
     assert encode_residues("ACD").dtype == np.intp
 
 
-# ------------------------------------------------------------- choose_class
+# ----------------------------------------------------------- class tie-break
 
-def test_choose_class_prefers_the_largest_score():
-    assert choose_class(math.log(0.3), math.log(0.6), math.log(0.4)) == "C"
-    assert choose_class(-1.0, -5.0, -3.0) == "H"
-    assert choose_class(-9.0, -5.0, -3.0) == "E"
-
-
-def test_choose_class_three_way_tie_is_helix():
-    assert choose_class(-2.0, -2.0, -2.0) == "H"
-
-
-def test_choose_class_coil_strand_tie_is_coil():
-    assert choose_class(-8.0, -2.0, -2.0) == "C"
+def centre_label(p_h, p_e, p_c):
+    """Label of the one complete window of "AAA" under single-state stubs
+    that emit 'A' with probability p_H, p_E and p_C."""
+    models = ClassModelSet({"H": single_symbol_stub(p_h),
+                            "E": single_symbol_stub(p_e),
+                            "C": single_symbol_stub(p_c)})
+    pred = predict_structure(models, "AAA", half_width=1)
+    assert pred[0] == pred[2] == "C"
+    return pred[1]
 
 
-def test_choose_class_helix_ties_beat_either_rival():
-    assert choose_class(-2.0, -2.0, -7.0) == "H"
-    assert choose_class(-2.0, -7.0, -2.0) == "H"
+@pytest.mark.parametrize("p_h,p_e,p_c,label", [
+    pytest.param(0.3, 0.4, 0.6, "C", id="largest-C"),
+    pytest.param(math.exp(-1), math.exp(-3), math.exp(-5), "H",
+                 id="largest-H"),
+    pytest.param(math.exp(-9), math.exp(-3), math.exp(-5), "E",
+                 id="largest-E"),
+    pytest.param(math.exp(-2), math.exp(-2), math.exp(-2), "H",
+                 id="three-way-tie"),
+    pytest.param(math.exp(-8), math.exp(-2), math.exp(-2), "C",
+                 id="coil-strand-tie"),
+    pytest.param(math.exp(-2), math.exp(-7), math.exp(-2), "H",
+                 id="helix-coil-tie"),
+    pytest.param(math.exp(-2), math.exp(-2), math.exp(-7), "H",
+                 id="helix-strand-tie"),
+])
+def test_window_label_follows_the_tie_break(p_h, p_e, p_c, label):
+    assert centre_label(p_h, p_e, p_c) == label
 
 
-# Scores on a quarter-integer grid so the shifted sums are exact and
-# tie behavior is not at the mercy of float rounding.
-_grid = st.integers(min_value=-200, max_value=0).map(lambda k: k / 4.0)
+# Probabilities on a k/20 grid: equal k give bit-equal window scores, so
+# ties are exact and the expected label does not hang on float rounding.
+_grid = st.integers(min_value=1, max_value=20)
 
 
-@given(_grid, _grid, _grid,
-       st.integers(min_value=-80, max_value=80).map(lambda k: k / 4.0))
-def test_property_choose_class_is_shift_invariant(h, c, e, shift):
-    assert choose_class(h + shift, c + shift, e + shift) == choose_class(h, c, e)
+@given(_grid, _grid, _grid)
+def test_property_centre_label_is_the_first_maximum(k_h, k_e, k_c):
+    expected = max("HCE", key={"H": k_h, "E": k_e, "C": k_c}.get)
+    assert centre_label(k_h / 20, k_e / 20, k_c / 20) == expected
 
 
-# ---------------------------------------------------------- classify_window
-
-def test_classify_window_scores_match_the_oracle():
+def test_window_scores_match_the_oracle():
     models = planted_models(leak=0.1)
     window = "ACDEF"  # drawn from the helix model's residue group
-    scores = classify_window(models, window)
     encoded = encode_residues(window)
-    for attr, model in (("helix", models.helix), ("strand", models.strand),
-                        ("coil", models.coil)):
-        best, _ = oracle.best_path_probability(model, encoded)
-        assert math.exp(getattr(scores, attr)) == pytest.approx(best, rel=1e-10)
-    assert scores.chosen == "H"
-
-
-def test_classify_window_chosen_agrees_with_choose_class():
-    models = planted_models(leak=0.1)
-    for window in ("ACDEF", "IKLMN", "RSTVW", "AIRAI", "XXXXX"):
-        scores = classify_window(models, window)
-        assert scores.chosen == choose_class(scores.helix, scores.coil,
-                                             scores.strand)
-
-
-def test_classify_window_rejects_empty_window():
-    with pytest.raises(EmptyWindow):
-        classify_window(stub_model_set(), "")
+    for label in "HEC":
+        score = _max_product_scores(*_log_params(models[label]),
+                                    encoded[None])[0]
+        best, _ = oracle.best_path_probability(models[label], encoded)
+        assert math.exp(score) == pytest.approx(best, rel=1e-10)
+    assert predict_structure(models, window, half_width=2) == "CCHCC"
 
 
 def test_class_model_set_rejects_wrong_alphabet():
     wrong = new_random_hmm(2, 4, seed=0)
     ok = new_random_hmm(2, 21, seed=0)
     with pytest.raises(ValueError, match="alphabet"):
-        ClassModelSet(helix=wrong, strand=ok, coil=ok)
+        ClassModelSet({"H": wrong, "E": ok, "C": ok})
+    for labels in ("HE", "HECX", "HEX", ""):  # missing, extra, both, none
+        with pytest.raises(ValueError, match="label"):
+            ClassModelSet({label: ok for label in labels})
+
+
+def test_class_model_set_gives_each_label_its_model():
+    given_models = {label: new_random_hmm(2, 21, seed=i)
+                    for i, label in enumerate("CEH")}
+    models = ClassModelSet(given_models)
+    for label in "HEC":
+        assert models[label] is given_models[label]
+    for label in ("Q", "", "HE"):
+        with pytest.raises(KeyError):
+            models[label]
 
 
 # --------------------------------------------------------- predict_structure
@@ -202,31 +212,36 @@ def test_property_output_length_and_alphabet(half_width, symbols):
 def test_property_interior_labels_follow_the_tie_break_chain(symbols):
     models = planted_models(leak=0.2)
     window = "".join(ALPHABET[i] for i in symbols)
-    scores = classify_window(models, window)
     pred = predict_structure(models, window, half_width=2)
-    assert pred[2] == choose_class(scores.helix, scores.coil, scores.strand)
+    assert pred[2] == max("HCE", key=lambda label: viterbi(
+        models[label], encode_residues(window)).log_prob)
 
 
 # ------------------------------------------- batched scoring vs the old loop
 
 def reference_predict(models, sequence, half_width, boundary_label):
     """The per-window loop that batched scoring replaced: three Viterbi
-    scores per window (what sequence_score returned) and choose_class."""
+    scores per window, and the first maximum in H, C, E order."""
     encoded = encode_residues(sequence)
     labels = [boundary_label] * len(encoded)
     for i in range(half_width, len(encoded) - half_width):
         window = encoded[i - half_width:i + half_width + 1]
-        helix, coil, strand = (viterbi(models[label], window).log_prob
-                               for label in "HCE")
-        labels[i] = choose_class(helix, coil, strand)
+        labels[i] = max("HCE", key=lambda label: viterbi(
+            models[label], window).log_prob)
     return "".join(labels)
 
 
 def regression_model_sets():
     rng = np.random.default_rng(31)
-    random_set = ClassModelSet.from_labels(
+    random_set = ClassModelSet(
         {label: random_model(rng, 3, len(ALPHABET)) for label in "HEC"})
-    return [planted_models(0.0), planted_models(0.05), random_set]
+    return [planted_models(0.0), planted_models(0.05), random_set,
+            planted_models(0.1)]
+
+
+# Fixed windows: one from each planted residue group, a mixed one and an
+# all-unknown one.
+FIXED_WINDOWS = ("ACDEF", "IKLMN", "RSTVW", "AIRAI", "XXXXX")
 
 
 @pytest.mark.parametrize("boundary_label", ["H", "E", "C"])
@@ -236,8 +251,9 @@ def test_predict_structure_matches_the_per_window_loop(half_width,
     rng = np.random.default_rng(half_width)
     width = 2 * half_width + 1
     for models in regression_model_sets():
-        for length in (1, width - 1, width, width + 1, 60):
-            seq = "".join(ALPHABET[i] for i in rng.integers(0, 21, length))
+        seqs = ["".join(ALPHABET[i] for i in rng.integers(0, 21, length))
+                for length in (1, width - 1, width, width + 1, 60)]
+        for seq in seqs + list(FIXED_WINDOWS):
             assert predict_structure(models, seq, half_width, boundary_label) \
                 == reference_predict(models, seq, half_width, boundary_label)
 
@@ -247,8 +263,8 @@ def test_window_no_class_can_emit_is_labelled_helix():
     # alphabet, so a window mixing the strand (I, K) and coil (R, S, T)
     # groups scores -inf under all three; the tie-break makes it 'H'.
     models = planted_models(0.0)
-    scores = classify_window(models, "IKRST")
-    assert scores.helix == scores.coil == scores.strand == -math.inf
-    assert scores.chosen == "H"
+    window = encode_residues("IKRST")
+    assert all(viterbi(models[label], window).log_prob == -math.inf
+               for label in "HEC")
     assert predict_structure(models, "IKRST", half_width=2) == "CCHCC"
     assert predict_structure(models, "IKRSTIKRST", half_width=2) == "CCHHHHHHCC"

@@ -44,9 +44,8 @@ def test_train_models_is_deterministic():
     records = planted_dataset(8, 30, seed=3)
     a, traces_a = train_models(records, half_width=2, max_iters=3, seed=5)
     b, traces_b = train_models(records, half_width=2, max_iters=3, seed=5)
-    for name in ("helix", "strand", "coil"):
-        assert np.array_equal(getattr(a, name).emission,
-                              getattr(b, name).emission)
+    for label in "HEC":
+        assert np.array_equal(a[label].emission, b[label].emission)
     assert traces_a == traces_b
 
 
@@ -54,7 +53,7 @@ def test_train_models_seed_matters():
     records = planted_dataset(8, 30, seed=3)
     a, _ = train_models(records, half_width=2, max_iters=3, seed=5)
     b, _ = train_models(records, half_width=2, max_iters=3, seed=6)
-    assert not np.array_equal(a.helix.emission, b.helix.emission)
+    assert not np.array_equal(a["H"].emission, b["H"].emission)
 
 
 def test_train_models_traces_are_monotone():
@@ -69,8 +68,8 @@ def test_trained_models_recover_planted_structure():
     # its emission mass on helix-group symbols, and so on for the others.
     records = planted_dataset(40, 60, seed=11, stay=0.9)
     models, _ = train_models(records, half_width=2, max_iters=10, seed=0)
-    for attr, label in (("helix", "H"), ("strand", "E"), ("coil", "C")):
-        model = getattr(models, attr)
+    for label in "HEC":
+        model = models[label]
         group = CLASS_RESIDUE_GROUPS[label]
         weights = model.initial @ model.emission
         assert weights[group].sum() > 0.5
@@ -87,8 +86,8 @@ def test_planted_models_have_disjoint_groups():
 
 def test_planted_models_emit_only_within_their_group():
     models = planted_models(leak=0.0)
-    for attr, label in (("helix", "H"), ("strand", "E"), ("coil", "C")):
-        emission = getattr(models, attr).emission
+    for label in "HEC":
+        emission = models[label].emission
         outside = np.setdiff1d(np.arange(21), CLASS_RESIDUE_GROUPS[label])
         assert np.all(emission[:, outside] == 0.0)
         assert np.allclose(emission.sum(axis=1), 1.0)
@@ -96,7 +95,7 @@ def test_planted_models_emit_only_within_their_group():
 
 def test_planted_models_leak_spreads_mass():
     models = planted_models(leak=0.2)
-    assert np.all(models.helix.emission > 0.0)
+    assert np.all(models["H"].emission > 0.0)
 
 
 def test_planted_models_rejects_bad_leak():
@@ -107,8 +106,8 @@ def test_planted_models_rejects_bad_leak():
 def test_sample_observations_deterministic_and_in_range():
     models = planted_models()
     rng = np.random.default_rng(0)
-    a = sample_observations(models.helix, 50, rng)
-    b = sample_observations(models.helix, 50, np.random.default_rng(0))
+    a = sample_observations(models["H"], 50, rng)
+    b = sample_observations(models["H"], 50, np.random.default_rng(0))
     assert np.array_equal(a, b)
     assert a.min() >= 0 and a.max() < 21
     # with no leak every symbol stays in the helix group
