@@ -23,7 +23,9 @@ round-trip exactly. All files are UTF-8 with LF line endings.
 The labeled dataset format is three lines per record: a ``>id`` header, the
 residue sequence, and a label line (either 8-letter DSSP, which is reduced to
 {H,E,C}, or already 3-letter). Prediction/truth files are two lines per
-record: ``>id`` then one label line.
+record: ``>id`` then one label line. All three record formats (these two and
+FASTA) are split by one reader: lines are stripped, blank lines are skipped,
+every record starts with a non-empty ``>id``, and data before it is an error.
 """
 
 from __future__ import annotations
@@ -81,34 +83,38 @@ def _record_id(header: str) -> str:
     return rec_id
 
 
-def parse_fasta(text: str) -> list[FastaRecord]:
-    """Parse FASTA text into records. Sequence lines are concatenated,
-    whitespace-stripped, uppercased, and non-canonical residues fold to 'X'."""
-    records: list[FastaRecord] = []
-    current_id: str | None = None
-    parts: list[str] = []
-
-    def finalize() -> None:
-        sequence = fold_residues("".join(parts))
-        if not sequence:
-            raise EmptyRecord(f"record {current_id!r} has no sequence")
-        records.append(FastaRecord(current_id, sequence))
-
+def _read_records(text: str) -> Iterator[tuple[str, list[str]]]:
+    """Yield (id, body lines) for each ``>id`` header of ``text``. Lines are
+    stripped, blank lines are skipped, and data before the first header
+    raises :class:`MissingHeader`. A record is yielded before the next
+    header's id is read, so its own errors are raised first."""
+    rec_id: str | None = None
+    body: list[str] = []
     for line in text.splitlines():
         line = line.strip()
         if not line:
             continue
         if line.startswith(">"):
-            if current_id is not None:
-                finalize()
-            current_id = _record_id(line)
-            parts = []
+            if rec_id is not None:
+                yield rec_id, body
+            rec_id, body = _record_id(line), []
+        elif rec_id is None:
+            raise MissingHeader(f"expected '>' header, got {line!r}")
         else:
-            if current_id is None:
-                raise MissingHeader("sequence data before any '>' header")
-            parts.append(line)
-    if current_id is not None:
-        finalize()
+            body.append(line)
+    if rec_id is not None:
+        yield rec_id, body
+
+
+def parse_fasta(text: str) -> list[FastaRecord]:
+    """Parse FASTA text into records. Sequence lines are concatenated,
+    whitespace-stripped, uppercased, and non-canonical residues fold to 'X'."""
+    records: list[FastaRecord] = []
+    for rec_id, body in _read_records(text):
+        sequence = fold_residues("".join(body))
+        if not sequence:
+            raise EmptyRecord(f"record {rec_id!r} has no sequence")
+        records.append(FastaRecord(rec_id, sequence))
     return records
 
 
@@ -116,30 +122,26 @@ def format_fasta(records: list[FastaRecord]) -> str:
     return "".join(f">{rec.id}\n{rec.sequence}\n" for rec in records)
 
 
-def _read_records(text: str, body: tuple[str, ...]
-                  ) -> Iterator[tuple[str, list[str]]]:
-    """Yield (id, lines) for records of a ">id" line plus one line for each
-    name in ``body``. Lines are stripped and blank lines are skipped."""
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line]
-    k = len(body)
-    for i in range(0, len(lines), k + 1):
-        header = lines[i]
-        if not header.startswith(">"):
-            raise MissingHeader(f"expected '>' header, got {header!r}")
-        rec_id = _record_id(header)
-        fields = lines[i + 1:i + 1 + k]
-        if len(fields) < k or any(part.startswith(">") for part in fields):
+def _fixed_records(text: str, fields: tuple[str, ...]
+                   ) -> Iterator[tuple[str, list[str]]]:
+    """Yield (id, lines) for records of one line per name in ``fields``.
+    A record with more lines is handed over before the first extra line is
+    reported as a missing header."""
+    k = len(fields)
+    for rec_id, body in _read_records(text):
+        if len(body) < k:
             raise EmptyRecord(f"record {rec_id!r} is missing its "
-                              f"{' or '.join(body)} line")
-        yield rec_id, fields
+                              f"{' or '.join(fields)} line")
+        yield rec_id, body[:k]
+        if len(body) > k:
+            raise MissingHeader(f"expected '>' header, got {body[k]!r}")
 
 
 def parse_labeled_dataset(text: str) -> list[LabeledRecord]:
     """Parse three-line records (">id", sequence, labels). DSSP label strings
     are reduced to {H,E,C}; already-reduced strings pass through unchanged."""
     records: list[LabeledRecord] = []
-    for rec_id, (residues, dssp) in _read_records(text, ("sequence", "label")):
+    for rec_id, (residues, dssp) in _fixed_records(text, ("sequence", "label")):
         sequence = fold_residues(residues)
         labels = reduce_dssp_string(dssp)
         if len(sequence) != len(labels):
@@ -159,7 +161,7 @@ def parse_label_records(text: str) -> list[tuple[str, str]]:
     """Parse a prediction/truth file: two lines per record, ">id" then one
     label line over {H,E,C} (DSSP letters are reduced)."""
     return [(rec_id, reduce_dssp_string(labels))
-            for rec_id, (labels,) in _read_records(text, ("label",))]
+            for rec_id, (labels,) in _fixed_records(text, ("label",))]
 
 
 def format_label_records(records: list[tuple[str, str]]) -> str:
@@ -185,30 +187,8 @@ def format_models(models: ClassModelSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _LineCursor:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0  # 0-based; reported line numbers are 1-based
-
-    @property
-    def line_no(self) -> int:
-        return self.pos
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise ModelFormatError(
-                f"line {self.pos + 1}: unexpected end of file")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def done(self) -> bool:
-        return all(not line.strip() for line in self.lines[self.pos:])
-
-
-def _parse_prob_row(cursor: _LineCursor, keyword: str, width: int) -> np.ndarray:
-    line = cursor.next()
-    line_no = cursor.line_no
+def _parse_prob_row(line: str, line_no: int, keyword: str,
+                    width: int) -> np.ndarray:
     fields = line.split(" ")
     if fields[0] != keyword:
         raise ModelFormatError(
@@ -225,52 +205,57 @@ def _parse_prob_row(cursor: _LineCursor, keyword: str, width: int) -> np.ndarray
     if not np.all((row >= 0.0) & (row <= 1.0)):  # also rejects NaN
         raise ModelFormatError(
             f"line {line_no}: '{keyword}' row has entries outside [0, 1]")
-    if abs(row.sum() - 1.0) > ROW_SUM_TOL:
+    total = float(row.sum())
+    if abs(total - 1.0) > ROW_SUM_TOL:
         raise ModelFormatError(
-            f"line {line_no}: '{keyword}' row sums to {row.sum()!r}, not 1")
+            f"line {line_no}: '{keyword}' row sums to {total!r}, not 1")
     return row
-
-
-def _parse_model_block(cursor: _LineCursor, tag: str) -> Hmm:
-    line = cursor.next()
-    if line != f"model {tag}":
-        raise ModelFormatError(
-            f"line {cursor.line_no}: expected 'model {tag}', got {line!r}")
-    line = cursor.next()
-    fields = line.split(" ")
-    if (len(fields) != 2 or fields[0] != "states"
-            or not (fields[1].isascii() and fields[1].isdigit())):
-        raise ModelFormatError(
-            f"line {cursor.line_no}: expected 'states <k>', got {line!r}")
-    k = int(fields[1])
-    if k < 1:
-        raise ModelFormatError(f"line {cursor.line_no}: states must be >= 1")
-    initial = _parse_prob_row(cursor, "initial", k)
-    transition = np.stack([_parse_prob_row(cursor, "transition", k)
-                           for _ in range(k)])
-    emission = np.stack([_parse_prob_row(cursor, "emission", len(ALPHABET))
-                         for _ in range(k)])
-    return Hmm(initial=initial, transition=transition, emission=emission)
 
 
 def parse_models(text: str) -> ClassModelSet:
     """Parse the text model format, validating structure and stochasticity.
     Raises :class:`ModelFormatError` naming the offending line."""
-    cursor = _LineCursor(text)
-    line = cursor.next()
-    if line != MODEL_FORMAT_VERSION:
+    lines = text.splitlines()
+    pos = 0  # lines taken so far; the last one taken is line ``pos``
+
+    def take(expected: str | None = None) -> str:
+        """The next line, which must equal ``expected`` when one is given."""
+        nonlocal pos
+        if pos == len(lines):
+            raise ModelFormatError(f"line {pos + 1}: unexpected end of file")
+        line = lines[pos]
+        pos += 1
+        if expected is not None and line != expected:
+            raise ModelFormatError(
+                f"line {pos}: expected '{expected}', got {line!r}")
+        return line
+
+    def row(keyword: str, width: int) -> np.ndarray:
+        line = take()
+        return _parse_prob_row(line, pos, keyword, width)
+
+    take(MODEL_FORMAT_VERSION)
+    take(f"alphabet {ALPHABET}")
+    models = {}
+    for tag in CLASS_ORDER:
+        take(f"model {tag}")
+        line = take()
+        fields = line.split(" ")
+        if (len(fields) != 2 or fields[0] != "states"
+                or not (fields[1].isascii() and fields[1].isdigit())):
+            raise ModelFormatError(
+                f"line {pos}: expected 'states <k>', got {line!r}")
+        k = int(fields[1])
+        if k < 1:
+            raise ModelFormatError(f"line {pos}: states must be >= 1")
+        initial = row("initial", k)
+        transition = np.stack([row("transition", k) for _ in range(k)])
+        emission = np.stack([row("emission", len(ALPHABET)) for _ in range(k)])
+        models[tag] = Hmm(initial=initial, transition=transition,
+                          emission=emission)
+    if any(line.strip() for line in lines[pos:]):
         raise ModelFormatError(
-            f"line {cursor.line_no}: expected '{MODEL_FORMAT_VERSION}', "
-            f"got {line!r}")
-    line = cursor.next()
-    if line != f"alphabet {ALPHABET}":
-        raise ModelFormatError(
-            f"line {cursor.line_no}: expected 'alphabet {ALPHABET}', "
-            f"got {line!r}")
-    models = {tag: _parse_model_block(cursor, tag) for tag in CLASS_ORDER}
-    if not cursor.done():
-        raise ModelFormatError(
-            f"line {cursor.line_no + 1}: trailing content after model blocks")
+            f"line {pos + 1}: trailing content after model blocks")
     return ClassModelSet(models)
 
 

@@ -86,7 +86,8 @@ def predict_structure(models: ClassModelSet, sequence: str,
     label first in :data:`TIE_BREAK`, so a window every model scores -inf is
     'H'. All windows are scored in one batch per class model. The first and
     last ``half_width`` positions (which have no complete window) receive
-    ``boundary_label``. The output has the same length as the input.
+    ``boundary_label``. The output has one label per residue of
+    ``fold_residues(sequence)``, which drops whitespace.
     """
     if half_width < 1:
         raise ValueError("half_width must be >= 1")

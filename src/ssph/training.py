@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dssp import CLASS_ORDER
-from .errors import ClassHasNoData
+from .errors import ClassHasNoData, LengthMismatch
 from .hmm import LikelihoodTrace, baum_welch, new_random_hmm
 from .io import LabeledRecord
 from .predictor import ALPHABET, ClassModelSet, encode_residues
@@ -19,13 +19,19 @@ from .predictor import ALPHABET, ClassModelSet, encode_residues
 def class_windows(records: list[LabeledRecord],
                   half_width: int = 5) -> dict[str, list[np.ndarray]]:
     """Encoded windows of length 2*half_width+1 grouped by the true label of
-    the center residue. Positions without a complete window contribute none."""
+    the center residue. Positions without a complete window contribute none.
+    Raises :class:`LengthMismatch` when a record does not have one label per
+    encoded residue."""
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
     windows: dict[str, list[np.ndarray]] = {c: [] for c in CLASS_ORDER}
     for rec in records:
         encoded = encode_residues(rec.sequence)
         n = encoded.shape[0]
+        if n != len(rec.labels):
+            raise LengthMismatch(
+                f"record {rec.id!r}: sequence length {n} != "
+                f"label length {len(rec.labels)}")
         for i in range(half_width, n - half_width):
             label = rec.labels[i]
             if label not in windows:

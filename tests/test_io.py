@@ -1,6 +1,7 @@
 """FASTA, labeled datasets, prediction records, and the model file format."""
 
 import os
+import re
 import stat
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_io
 from helpers import random_model
 from ssph import (ALPHABET, ClassModelSet, FastaRecord, LabeledRecord,
                   format_fasta, format_label_records, format_labeled_dataset,
@@ -15,7 +17,7 @@ from ssph import (ALPHABET, ClassModelSet, FastaRecord, LabeledRecord,
                   parse_labeled_dataset, parse_models, read_models,
                   write_models)
 from ssph.errors import (EmptyRecord, LengthMismatch, MissingHeader,
-                         ModelFormatError)
+                         ModelFormatError, SsphError)
 from ssph.io import atomic_write_text
 
 
@@ -53,8 +55,8 @@ def test_parse_fasta_multiple_records_and_blank_lines():
 
 
 def test_parse_fasta_rejects_headerless_data():
-    with pytest.raises(MissingHeader):
-        parse_fasta("ACDE\n")
+    with pytest.raises(MissingHeader, match="^expected '>' header, got 'ACDE'$"):
+        parse_fasta("\n  ACDE\n>p1\nKLM\n")
 
 
 def test_parse_fasta_rejects_empty_sequence():
@@ -143,6 +145,23 @@ def test_label_readers_reject_blank_record_id():
         parse_labeled_dataset(">  \nACD\nHEC\n")
 
 
+def test_labeled_record_with_an_extra_line_reports_its_length_first():
+    # The first two lines are a record of their own before the third is
+    # reported, so a length mismatch in them wins.
+    with pytest.raises(LengthMismatch, match="^record 'x': sequence length 4 "
+                                             "!= label length 3$"):
+        parse_labeled_dataset(">x\nACDE\nHHH\nEEE\n")
+    with pytest.raises(MissingHeader, match="^expected '>' header, got 'EEE'$"):
+        parse_labeled_dataset(">x\nACD\nHHH\nEEE\n")
+
+
+def test_short_record_before_a_blank_header_reports_the_short_record():
+    # The record is checked before the next header's id is read.
+    with pytest.raises(EmptyRecord, match="^record 'x' is missing its "
+                                          "sequence or label line$"):
+        parse_labeled_dataset(">x\nACDE\n>\n")
+
+
 def test_label_records_round_trip():
     records = [("a", "HEC"), ("b", "CCCHH")]
     assert parse_label_records(format_label_records(records)) == records
@@ -220,10 +239,9 @@ def test_parse_models_rejects_wrong_alphabet():
 def test_parse_models_rejects_bad_row_sum_with_line_number():
     lines = format_models(random_model_set(3)).splitlines()
     target = next(i for i, l in enumerate(lines) if l.startswith("transition"))
-    fields = lines[target].split(" ")
-    fields[1] = repr(float(fields[1]) + 0.1)  # break the row sum
-    lines[target] = " ".join(fields)
-    with pytest.raises(ModelFormatError, match=f"line {target + 1}"):
+    lines[target] = "transition 0.5 0.15"  # sums to 0.65
+    message = f"line {target + 1}: 'transition' row sums to 0.65, not 1"
+    with pytest.raises(ModelFormatError, match=f"^{re.escape(message)}$"):
         parse_models("\n".join(lines) + "\n")
 
 
@@ -289,3 +307,103 @@ def test_parse_models_accepts_trailing_blank_lines():
 def test_property_model_round_trip(seed, num_states):
     models = random_model_set(seed, num_states=num_states)
     assert models_equal(parse_models(format_models(models)), models)
+
+
+# ------------------------------------------------- differential: the readers
+# reference_io holds the line-by-line readers these replaced. Each reader
+# must return the same records, or raise the same error type and message,
+# apart from two deliberate message changes (see expected_outcome).
+
+HEADERS = [">a", ">b c", " >d ", ">>e", ">", "> "]
+BODY_LINES = ["ACDE", "acdx", "A C", "ACDEF", "HHEC", "HGIEB", "HE", "CC",
+              " EEE ", "HXC", "b"]
+BLANK_LINES = ["", "   ", "\t"]
+
+
+@st.composite
+def record_texts(draw):
+    """Headers, residue and DSSP lines and blank lines, in records of any
+    number of lines, sometimes after data that has no header."""
+    body = st.sampled_from(BODY_LINES + BLANK_LINES)
+    lines = draw(st.lists(body, max_size=2))
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        lines.append(draw(st.sampled_from(HEADERS)))
+        lines += draw(st.lists(body, max_size=4))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def outcome(parse, text):
+    try:
+        result = parse(text)
+    except (SsphError, ValueError) as exc:
+        return type(exc), str(exc)
+    if isinstance(result, ClassModelSet):
+        return [[result[label].initial.tolist(),
+                 result[label].transition.tolist(),
+                 result[label].emission.tolist()] for label in "HEC"]
+    return result
+
+
+def expected_outcome(reference, text):
+    expected = outcome(reference, text)
+    if expected == (MissingHeader, "sequence data before any '>' header"):
+        # FASTA now words this as the two fixed-line formats do.
+        first = next(line.strip() for line in text.splitlines()
+                     if line.strip())
+        return MissingHeader, f"expected '>' header, got {first!r}"
+    if isinstance(expected, tuple) and expected[0] is ModelFormatError:
+        # Row sums now print as Python floats, not as np.float64(...).
+        return ModelFormatError, re.sub(r"np\.float64\(([^)]*)\)", r"\1",
+                                        expected[1])
+    return expected
+
+
+@pytest.mark.parametrize("parse, reference", [
+    (parse_fasta, reference_io.parse_fasta),
+    (parse_labeled_dataset, reference_io.parse_labeled_dataset),
+    (parse_label_records, reference_io.parse_label_records),
+], ids=["fasta", "labeled_dataset", "label_records"])
+@given(text=record_texts())
+@settings(max_examples=200, deadline=None)
+def test_property_record_readers_match_the_reference(parse, reference, text):
+    assert outcome(parse, text) == expected_outcome(reference, text)
+
+
+MODEL_LINES = ["", "  ", "junk", "SSPH-HMM v1", "model H", "model E",
+               "states 0", "states 1", "states 3", "initial 1.0",
+               "initial 0.5 0.5", "transition 0.5 0.5", "emission 1.0"]
+MODEL_FIELDS = ["0.5", "0", "1", "1.5", "-0.0", "nan", "inf", "1e-300", "x",
+                ""]
+
+
+@given(st.integers(min_value=0, max_value=1000),
+       st.integers(min_value=1, max_value=3),
+       st.lists(st.tuples(st.sampled_from(["delete", "copy", "replace",
+                                           "field", "truncate", "append"]),
+                          st.integers(min_value=0, max_value=200),
+                          st.integers(min_value=0, max_value=30),
+                          st.sampled_from(MODEL_LINES + MODEL_FIELDS)),
+                max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_property_model_parser_matches_the_reference(seed, num_states,
+                                                     mutations):
+    lines = format_models(random_model_set(seed, num_states)).splitlines()
+    for kind, i, j, token in mutations:
+        i %= len(lines) + 1
+        if kind == "append" or i == len(lines):
+            lines.append(token)
+        elif kind == "delete":
+            del lines[i]
+        elif kind == "copy":
+            lines.insert(i, lines[i])
+        elif kind == "replace":
+            lines[i] = token
+        elif kind == "truncate":
+            del lines[i:]
+        else:
+            fields = lines[i].split(" ")
+            fields[j % len(fields)] = token
+            lines[i] = " ".join(fields)
+    text = "\n".join(lines) + "\n"
+    assert outcome(parse_models, text) == \
+        expected_outcome(reference_io.parse_models, text)

@@ -158,6 +158,14 @@ def test_predict_structure_rejects_bad_boundary_label(label):
         predict_structure(stub_model_set(), "ACDEF", boundary_label=label)
 
 
+def test_predict_structure_labels_each_residue_not_each_character():
+    # Whitespace is not a residue: 13 characters, 11 residues, 11 labels.
+    sequence = "ACDEF GHIK\nLM"
+    pred = predict_structure(stub_model_set(), sequence, half_width=2)
+    assert len(pred) == len(fold_residues(sequence)) == 11
+    assert pred == predict_structure(stub_model_set(), "ACDEFGHIKLM", 2)
+
+
 def test_predict_structure_rejects_empty_sequence():
     with pytest.raises(EmptySequence):
         predict_structure(stub_model_set(), "")

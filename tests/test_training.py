@@ -6,7 +6,7 @@ import pytest
 from ssph import (LabeledRecord, class_windows, planted_dataset,
                   planted_models, predict_structure, sample_observations,
                   train_models)
-from ssph.errors import ClassHasNoData
+from ssph.errors import ClassHasNoData, LengthMismatch
 from ssph.synthetic import CLASS_RESIDUE_GROUPS
 
 
@@ -32,6 +32,18 @@ def test_class_windows_rejects_bad_label():
     rec = LabeledRecord("r", "ACD", "HQH")
     with pytest.raises(ValueError, match="'Q'"):
         class_windows([rec], half_width=1)
+
+
+@pytest.mark.parametrize("sequence, labels, lengths", [
+    ("ACDEFGHIKL", "HHH", "10 != label length 3"),        # labels too short
+    ("ACD", "HHHHHH", "3 != label length 6"),             # labels too long
+    ("ACDE FGHIK", "HHHHHEEEEE", "9 != label length 10"),  # space dropped
+])
+def test_class_windows_rejects_records_of_unequal_length(sequence, labels,
+                                                         lengths):
+    message = f"record 'x': sequence length {lengths}"
+    with pytest.raises(LengthMismatch, match=f"^{message}$"):
+        class_windows([LabeledRecord("x", sequence, labels)], half_width=1)
 
 
 def test_train_models_requires_data_for_every_class():
