@@ -16,7 +16,8 @@ from .io import (FastaRecord, LabeledRecord, format_fasta,
 from .metrics import (confusion, format_report, format_report_csv,
                       per_class_recall, q3)
 from .predictor import (ALPHABET, ClassModelSet, encode_residues,
-                        fold_residues, predict_structure)
+                        fold_residues, predict_structure,
+                        predict_structures)
 from .synthetic import planted_dataset, planted_models, sample_observations
 from .training import class_windows, train_models
 
@@ -54,6 +55,7 @@ __all__ = [
     "planted_dataset",
     "planted_models",
     "predict_structure",
+    "predict_structures",
     "q3",
     "read_models",
     "reduce_dssp",

@@ -172,13 +172,23 @@ def _max_product_scores(log_init: np.ndarray, log_trans: np.ndarray,
                         log_emit: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """Best-path log score of each row of an integer (batch, length)
     observation array: the max-product recursion of :func:`viterbi` without
-    the backtrace. ``max`` returns one of its inputs, so every score equals
-    ``viterbi(...).log_prob`` bit for bit."""
-    emit = log_emit.T[obs]  # (batch, length, states)
-    delta = log_init + emit[:, 0]
-    for t in range(1, obs.shape[1]):
-        delta = np.max(delta[:, :, None] + log_trans, axis=1) + emit[:, t]
-    return np.max(delta, axis=1)
+    the backtrace. It makes the same additions and ``max`` returns one of its
+    inputs, so every score equals ``viterbi(...).log_prob`` bit for bit.
+
+    ``delta`` is state-major, (states, batch), so each step reads one
+    emission row per state and takes each target state's maximum over its
+    predecessors as ``np.maximum`` over (batch,) vectors."""
+    steps = obs.T  # (length, batch)
+    delta = log_init[:, None] + log_emit[:, steps[0]]
+    for symbols in steps[1:]:
+        new = log_emit[:, symbols]
+        for j in range(len(log_init)):
+            best = delta[0] + log_trans[0, j]
+            for i in range(1, len(log_init)):
+                np.maximum(best, delta[i] + log_trans[i, j], out=best)
+            new[j] += best
+        delta = new
+    return np.max(delta, axis=0)
 
 
 def sequence_score(model: Hmm, obs: Sequence[int]) -> float:

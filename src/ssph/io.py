@@ -253,9 +253,10 @@ def parse_models(text: str) -> ClassModelSet:
         emission = np.stack([row("emission", len(ALPHABET)) for _ in range(k)])
         models[tag] = Hmm(initial=initial, transition=transition,
                           emission=emission)
-    if any(line.strip() for line in lines[pos:]):
-        raise ModelFormatError(
-            f"line {pos + 1}: trailing content after model blocks")
+    for line_no, line in enumerate(lines[pos:], start=pos + 1):
+        if line.strip():
+            raise ModelFormatError(
+                f"line {line_no}: trailing content after model blocks")
     return ClassModelSet(models)
 
 

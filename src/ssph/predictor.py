@@ -2,13 +2,17 @@
 
 Each residue is classified by scoring the window centered on it under three
 class-specific HMMs (helix, strand, coil); the class whose model assigns the
-highest Viterbi path probability wins. All windows of a sequence are scored
-together, one batched max-product pass per class model.
+highest Viterbi path probability wins. :func:`predict_structures` labels
+many sequences at once: it concatenates the complete windows of consecutive
+sequences into chunks of at most :data:`CHUNK_WINDOWS` windows and scores
+each chunk in one max-product pass per class model, so memory follows the
+chunk and the longest sequence, not the number of sequences.
+:func:`predict_structure` is its one-sequence form.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -24,6 +28,11 @@ UNKNOWN_RESIDUE = "X"
 
 # Equal window scores go to the label listed first here.
 TIE_BREAK = "HCE"
+
+# Windows scored per kernel call. Large enough that numpy's per-call cost is
+# spread over many windows; each chunk's scoring arrays take about 100 bytes
+# per window.
+CHUNK_WINDOWS = 8192
 
 
 class _FoldTable(dict):
@@ -77,32 +86,78 @@ class ClassModelSet:
         return self._models[_CLASS_INDEX[label]]
 
 
-def predict_structure(models: ClassModelSet, sequence: str,
-                      half_width: int = 5, boundary_label: str = "C") -> str:
-    """Predict a per-residue label string for ``sequence``.
+def predict_structures(models: ClassModelSet, sequences: Iterable[str],
+                       half_width: int = 5, boundary_label: str = "C"
+                       ) -> list[str]:
+    """Predict a per-residue label string for each of ``sequences``.
 
     Every position with a complete window of 2*half_width+1 residues gets
     the class whose model scores its window highest; equal scores go to the
     label first in :data:`TIE_BREAK`, so a window every model scores -inf is
-    'H'. All windows are scored in one batch per class model. The first and
-    last ``half_width`` positions (which have no complete window) receive
-    ``boundary_label``. The output has one label per residue of
-    ``fold_residues(sequence)``, which drops whitespace.
+    'H'. The first and last ``half_width`` positions (which have no complete
+    window) receive ``boundary_label``, and so does every position of a
+    sequence shorter than one window. Each output has one label per residue
+    of ``fold_residues(sequence)``, which drops whitespace.
+
+    The windows of consecutive sequences are scored together, in chunks of
+    at most :data:`CHUNK_WINDOWS` windows (a long sequence spans several),
+    one batched pass per class model and chunk.
     """
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
     if boundary_label not in tuple(CLASS_ORDER):  # one letter, not a substring
         raise ValueError(f"boundary_label must be one of {CLASS_ORDER!r}")
-    encoded = encode_residues(sequence)
-    n = encoded.shape[0]
-    if n == 0:
-        raise EmptySequence("residue sequence is empty")
-    labels = np.full(n, ord(boundary_label), dtype=np.uint8)
-    if n > 2 * half_width:
+    params = [_log_params(models[label]) for label in TIE_BREAK]
+    results: list[np.ndarray] = []
+    # Window blocks waiting in the current chunk, and the label slices
+    # (views into ``results``) their calls go to.
+    blocks: list[np.ndarray] = []
+    targets: list[np.ndarray] = []
+    pending = 0
+
+    def score_chunk() -> None:
+        windows = np.concatenate(blocks)
+        scores = [_max_product_scores(*p, windows) for p in params]
+        best = _TIE_BREAK_BYTES[np.argmax(scores, axis=0)]
+        start = 0
+        for target in targets:
+            target[:] = best[start:start + len(target)]
+            start += len(target)
+        blocks.clear()
+        targets.clear()
+
+    for sequence in sequences:
+        encoded = encode_residues(sequence)
+        n = encoded.shape[0]
+        if n == 0:
+            raise EmptySequence("residue sequence is empty")
+        labels = np.full(n, ord(boundary_label), dtype=np.uint8)
+        results.append(labels)
+        if n <= 2 * half_width:
+            continue
         windows = np.lib.stride_tricks.sliding_window_view(
             encoded, 2 * half_width + 1)
-        scores = [_max_product_scores(*_log_params(models[label]), windows)
-                  for label in TIE_BREAK]
-        labels[half_width:n - half_width] = _TIE_BREAK_BYTES[
-            np.argmax(scores, axis=0)]
-    return labels.tobytes().decode("ascii")
+        interior = labels[half_width:n - half_width]
+        done = 0
+        while done < len(windows):
+            take = min(CHUNK_WINDOWS - pending, len(windows) - done)
+            blocks.append(windows[done:done + take])
+            targets.append(interior[done:done + take])
+            done += take
+            pending += take
+            if pending == CHUNK_WINDOWS:
+                score_chunk()
+                pending = 0
+    if pending:
+        score_chunk()
+    return [labels.tobytes().decode("ascii") for labels in results]
+
+
+def predict_structure(models: ClassModelSet, sequence: str,
+                      half_width: int = 5, boundary_label: str = "C") -> str:
+    """Predict a per-residue label string for one ``sequence``: the
+    one-sequence form of :func:`predict_structures`, with the same labels,
+    tie-break and errors."""
+    labels, = predict_structures(models, [sequence], half_width,
+                                 boundary_label)
+    return labels

@@ -5,7 +5,8 @@ record reader and a cursor-free model parser replaced them: the FASTA header
 state machine, the positional chunker behind the two fixed-line formats, and
 the line-cursor model parser. They are kept as written, so the tests can
 show that the readers in ``ssph.io`` return the same records, or raise the
-same errors, line for line.
+same errors, line for line. One deliberate change: the model parser names
+the line that holds trailing content, as ``ssph.io`` now does.
 """
 
 import numpy as np
@@ -170,6 +171,10 @@ def parse_models(text):
             f"got {line!r}")
     models = {tag: _parse_model_block(cursor, tag) for tag in CLASS_ORDER}
     if not cursor.done():
+        # Changed on purpose, as in ssph.io: name the line that holds the
+        # trailing content, not the first line after the model blocks.
+        line_no = next(i for i, line in enumerate(cursor.lines, start=1)
+                       if i > cursor.line_no and line.strip())
         raise ModelFormatError(
-            f"line {cursor.line_no + 1}: trailing content after model blocks")
+            f"line {line_no}: trailing content after model blocks")
     return ClassModelSet(models)

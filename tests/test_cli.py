@@ -123,6 +123,30 @@ def test_predict_short_sequence_is_all_boundary(tmp_path):
     assert parse_label_records(out.read_text(encoding="utf-8")) == [("s", "HHH")]
 
 
+def test_predict_many_records_matches_one_record_runs(tmp_path, chains):
+    # One run over many records, with records shorter than one window
+    # between them, writes what one run per record writes.
+    model_path = run_training(tmp_path, chains[:20])
+    records = [FastaRecord(r.id, r.sequence) for r in chains[20:]]
+    records[1:1] = [FastaRecord("one", "A"), FastaRecord("four", "ACDE")]
+    records.append(FastaRecord("long", "".join(r.sequence for r in chains)))
+    for label in "HEC":
+        single = []
+        for i, record in enumerate(records):
+            fasta, out = tmp_path / f"{i}.fa", tmp_path / f"{i}.txt"
+            fasta.write_text(format_fasta([record]), encoding="utf-8")
+            assert main(["predict", "--models", str(model_path), "--fasta",
+                         str(fasta), "--out", str(out), "--window", "2",
+                         "--boundary-label", label]) == 0
+            single.append(out.read_bytes())
+        fasta, out = tmp_path / "all.fa", tmp_path / "all.txt"
+        fasta.write_text(format_fasta(records), encoding="utf-8")
+        assert main(["predict", "--models", str(model_path), "--fasta",
+                     str(fasta), "--out", str(out), "--window", "2",
+                     "--boundary-label", label]) == 0
+        assert out.read_bytes() == b"".join(single)
+
+
 def test_predict_missing_model_file_fails_cleanly(tmp_path, capsys):
     fasta = tmp_path / "in.fa"
     fasta.write_text(">s\nACDEF\n", encoding="utf-8")

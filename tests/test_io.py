@@ -14,8 +14,8 @@ from helpers import random_model
 from ssph import (ALPHABET, ClassModelSet, FastaRecord, LabeledRecord,
                   format_fasta, format_label_records, format_labeled_dataset,
                   format_models, parse_fasta, parse_label_records,
-                  parse_labeled_dataset, parse_models, read_models,
-                  write_models)
+                  parse_labeled_dataset, parse_models, planted_models,
+                  read_models, write_models)
 from ssph.errors import (EmptyRecord, LengthMismatch, MissingHeader,
                          ModelFormatError, SsphError)
 from ssph.io import atomic_write_text
@@ -294,6 +294,13 @@ def test_parse_models_rejects_trailing_content():
     text = format_models(random_model_set(7)) + "extra junk\n"
     with pytest.raises(ModelFormatError, match="trailing"):
         parse_models(text)
+    # The error names the line that holds the content, past blank lines.
+    text = format_models(planted_models(leak=0.1))
+    assert len(text.splitlines()) == 23
+    with pytest.raises(ModelFormatError) as excinfo:
+        parse_models(text + "\n\n\njunk\n")
+    assert str(excinfo.value) == \
+        "line 27: trailing content after model blocks"
 
 
 def test_parse_models_accepts_trailing_blank_lines():

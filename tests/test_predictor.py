@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import oracle
 from helpers import random_model, single_symbol_stub, stub_model_set
 from ssph import (ALPHABET, ClassModelSet, encode_residues, fold_residues,
-                  new_random_hmm, planted_models, predict_structure, viterbi)
+                  new_random_hmm, planted_models, predict_structure,
+                  predict_structures, predictor, viterbi)
 from ssph.errors import EmptySequence
 from ssph.hmm import _log_params, _max_product_scores
 
@@ -264,6 +265,49 @@ def test_predict_structure_matches_the_per_window_loop(half_width,
         for seq in seqs + list(FIXED_WINDOWS):
             assert predict_structure(models, seq, half_width, boundary_label) \
                 == reference_predict(models, seq, half_width, boundary_label)
+
+
+@pytest.mark.parametrize("chunk_windows", [1, 4, 7])
+@pytest.mark.parametrize("boundary_label", ["H", "E", "C"])
+@pytest.mark.parametrize("half_width", [1, 2, 3])
+def test_predict_structures_matches_the_per_window_loop_across_records(
+        monkeypatch, half_width, boundary_label, chunk_windows):
+    # Records too short for a window (1, 2w) and of exactly one window
+    # (2w+1) at the start, in the middle and at the end, between records
+    # that span several chunks, so chunk boundaries fall inside records,
+    # between them and next to the short ones.
+    monkeypatch.setattr(predictor, "CHUNK_WINDOWS", chunk_windows)
+    rng = np.random.default_rng(40 + half_width)
+    width = 2 * half_width + 1
+    short = [1, width - 1, width]
+    lengths = short + [width + 5, 3 * width] + short + [width + 20] + short
+    for models in regression_model_sets():
+        seqs = ["".join(ALPHABET[i] for i in rng.integers(0, 21, length))
+                for length in lengths]
+        assert predict_structures(models, seqs, half_width, boundary_label) \
+            == [reference_predict(models, seq, half_width, boundary_label)
+                for seq in seqs]
+
+
+def test_predict_structures_of_no_sequences_is_empty():
+    assert predict_structures(stub_model_set(), []) == []
+
+
+@pytest.mark.parametrize("half_width, boundary_label, message", [
+    (0, "C", "half_width must be >= 1"),
+    (-1, "C", "half_width must be >= 1"),
+    (2, "Q", "boundary_label must be one of 'HEC'"),
+    (2, "HE", "boundary_label must be one of 'HEC'"),
+])
+def test_predict_structures_rejects_bad_arguments_as_predict_structure(
+        half_width, boundary_label, message):
+    for call in (lambda: predict_structure(stub_model_set(), "ACDEF",
+                                           half_width, boundary_label),
+                 lambda: predict_structures(stub_model_set(), ["ACDEF"],
+                                            half_width, boundary_label)):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
 
 
 def test_window_no_class_can_emit_is_labelled_helix():
