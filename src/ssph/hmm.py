@@ -1,10 +1,15 @@
 """Discrete-emission hidden Markov models: Viterbi decoding in log-space, and
 forward/backward likelihoods and Baum-Welch re-estimation with the scaled
 recursions of Rabiner 1989 (Proc. IEEE 77(2), section V.A) in probability
-space."""
+space.
+
+The recursions fill arrays their caller owns. A likelihood call allocates
+them for its one sequence; a Baum-Welch call allocates one set per
+equal-length batch of its training data and every EM iteration reuses it."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -130,7 +135,10 @@ def _check_obs(model: Hmm, obs: Sequence[int]) -> np.ndarray:
 def _length_batches(model: Hmm, training: Iterable[Sequence[int]]
                     ) -> list[np.ndarray]:
     """Training sequences stacked into one integer (batch, length) array per
-    length, shortest first; symbols are checked once per batch."""
+    length, shortest first; symbols are checked once per batch. A 2-D array
+    is taken whole as one batch of equal-length rows."""
+    if isinstance(training, np.ndarray) and training.ndim == 2:
+        return [_check_symbols(model, training)] if len(training) else []
     by_length: dict[int, list[np.ndarray]] = {}
     for s in training:
         arr = np.asarray(s)
@@ -197,49 +205,46 @@ def sequence_score(model: Hmm, obs: Sequence[int]) -> float:
     return float(_max_product_scores(*_log_params(model), o[None, :])[0])
 
 
-def _scaled_forward(model: Hmm, emit: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_forward(model: Hmm, emit: np.ndarray, alpha: np.ndarray,
+                    scale: np.ndarray) -> None:
     """Scaled forward pass (Rabiner 1989, section V.A) over ``emit``, the
     (states, length, batch) probability of each observed symbol under each
-    state. Returns the alphas, normalized to sum to 1 at each step, and the
-    (length, batch) scale factors ``c``; ln P(obs) is the sum of ln c.
+    state. Fills ``alpha`` (shaped like ``emit``) with the alphas, normalized
+    to sum to 1 at each step, and ``scale`` (length, batch) with the scale
+    factors ``c``; ln P(obs) is the sum of ln c.
 
     A step whose total mass is 0, or underflows double precision, gets
     ``c = 0`` and all-zero alphas from then on: probability 0."""
-    alpha = np.empty_like(emit)
-    scale = np.empty(emit.shape[1:])
-    a = model.initial[:, None] * emit[:, 0]
+    np.multiply(model.initial[:, None], emit[:, 0], out=alpha[:, 0])
     for t in range(emit.shape[1]):
+        a = alpha[:, t]
         if t:
-            a = (model.transition.T @ alpha[:, t - 1]) * emit[:, t]
-        c = a.sum(axis=0)
-        scale[t] = c
-        alpha[:, t] = a / np.where(c > 0.0, c, 1.0)
-    return alpha, scale
+            np.matmul(model.transition.T, alpha[:, t - 1], out=a)
+            a *= emit[:, t]
+        c = a.sum(axis=0, out=scale[t])
+        a /= np.where(c > 0.0, c, 1.0)
 
 
 def _scaled_backward(model: Hmm, emit: np.ndarray, alpha: np.ndarray,
-                     scale: np.ndarray) -> np.ndarray:
+                     scale: np.ndarray, beta: np.ndarray,
+                     nxt: np.ndarray) -> None:
     """Backward pass matching :func:`_scaled_forward`, divided by the same
-    scale factors, so that alpha * beta is the state posterior.
+    scale factors, so that alpha * beta is the state posterior. ``scale``
+    must be positive: pass 1 for a step whose ``c`` is 0. Fills ``beta``
+    (shaped like ``alpha``) and ``nxt`` (states, length-1, batch) with the
+    term ``e(t+1) * beta(t+1) / c(t+1)`` of each step, which the transition
+    counts reuse.
 
     Beta is set to 0 wherever alpha is 0. The scaling bounds beta only for
     states the forward pass reaches; an unreachable state's beta could grow
     without limit and turn ``0 * inf`` into NaN. Zeroing it is exact: if
     alpha(t+1, j) = 0 then a(i, j) e_j(o_t+1) = 0 for every i with
     alpha(t, i) > 0, so no reachable beta and no posterior changes."""
-    beta = np.where(alpha > 0.0, 1.0, 0.0)
-    safe = np.where(scale > 0.0, scale, 1.0)
+    np.greater(alpha, 0.0, out=beta)
     for t in range(emit.shape[1] - 2, -1, -1):
-        beta[:, t] *= model.transition @ (emit[:, t + 1] * beta[:, t + 1]
-                                          / safe[t + 1])
-    return beta
-
-
-def _emit_probs(model: Hmm, obs: np.ndarray) -> np.ndarray:
-    """(states, length, batch) emission probabilities of an integer
-    (batch, length) observation array."""
-    return np.take(model.emission, obs.T, axis=1)
+        term = np.multiply(emit[:, t + 1], beta[:, t + 1], out=nxt[:, t])
+        term /= scale[t + 1]
+        beta[:, t] *= model.transition @ term
 
 
 def _log_total(scale: np.ndarray) -> float:
@@ -247,56 +252,88 @@ def _log_total(scale: np.ndarray) -> float:
         return float(np.log(scale).sum())
 
 
+def _forward_one(model: Hmm, obs: Sequence[int]
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Emissions, alphas and scale factors of one sequence, as a batch of
+    one."""
+    emit = np.take(model.emission, _check_obs(model, obs)[:, None], axis=1)
+    alpha = np.empty_like(emit)
+    scale = np.empty(emit.shape[1:])
+    _scaled_forward(model, emit, alpha, scale)
+    return emit, alpha, scale
+
+
 def forward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
     """ln P(obs | model), summing over all state paths with the scaled forward
     recursion. -inf if the probability is 0, also when a step's total mass
     underflows double precision."""
-    emit = _emit_probs(model, _check_obs(model, obs)[None])
-    return _log_total(_scaled_forward(model, emit)[1])
+    return _log_total(_forward_one(model, obs)[2])
 
 
 def backward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
     """ln P(obs | model) via the backward recursion, scaled by the forward
     pass's factors; agrees with the forward value up to roundoff, and is -inf
     where that is."""
-    emit = _emit_probs(model, _check_obs(model, obs)[None])
-    alpha, scale = _scaled_forward(model, emit)
-    beta = _scaled_backward(model, emit, alpha, scale)
+    emit, alpha, scale = _forward_one(model, obs)
+    beta = np.empty_like(alpha)
+    nxt = np.empty((emit.shape[0], emit.shape[1] - 1, 1))
+    _scaled_backward(model, emit, alpha, np.where(scale > 0.0, scale, 1.0),
+                     beta, nxt)
     first = model.initial @ (emit[:, 0, 0] * beta[:, 0, 0])
     return _log_total(np.append(scale[1:], first))
 
 
-def _expected_counts(model: Hmm, batches: list[np.ndarray]
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """One E-step over all training sequences (grouped into equal-length
-    batches). Returns expected start/transition/emission counts and the total
-    log-likelihood of the data under ``model``. Raises ``ValueError`` if a
-    sequence has probability 0, which includes a step whose total mass
-    underflows double precision."""
-    n, m = model.num_states, model.alphabet_size
-    start = np.zeros(n)
-    trans = np.zeros((n, n))
-    emit = np.zeros((n, m))
-    total_ll = 0.0
-    for obs in batches:
-        obs_emit = _emit_probs(model, obs)
-        alpha, scale = _scaled_forward(model, obs_emit)
-        if not np.all(scale > 0.0):
-            raise ValueError(
-                "a training sequence has zero probability under the model")
-        beta = _scaled_backward(model, obs_emit, alpha, scale)
-        total_ll += _log_total(scale)
-        gamma = alpha * beta  # state posteriors, (n, length, batch)
-        start += gamma[:, 0].sum(axis=1)
-        symbols = obs.T.reshape(-1)
-        for k in range(n):
-            emit[k] += np.bincount(symbols, weights=gamma[k].reshape(-1),
-                                   minlength=m)
-        if obs.shape[1] > 1:
-            nxt = obs_emit[:, 1:] * beta[:, 1:] / scale[1:]
-            trans += model.transition * (alpha[:, :-1].reshape(n, -1)
-                                         @ nxt.reshape(n, -1).T)
-    return start, trans, emit, total_ll
+class _EStep:
+    """The E-step of one :func:`baum_welch` call. The working arrays of each
+    equal-length batch are allocated once, here, and every call refills them
+    in place; an iteration allocates only per-step (states, batch) vectors.
+    Each ``baum_welch`` call builds its own, so concurrent calls share
+    nothing."""
+
+    def __init__(self, num_states: int, batches: list[np.ndarray]) -> None:
+        self._work = []
+        for obs in batches:
+            batch, length = obs.shape
+            lattice = (num_states, length, batch)
+            self._work.append((
+                np.ascontiguousarray(obs.T),  # (length, batch) symbols
+                np.empty(lattice),            # emission probabilities
+                np.empty(lattice),            # alpha
+                np.empty(lattice),            # beta, then the posteriors
+                np.empty((num_states, length - 1, batch)),  # e * beta / c
+                np.empty((length, batch)),    # scale factors, then their logs
+            ))
+
+    def __call__(self, model: Hmm
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Expected start/transition/emission counts of the training data
+        under ``model``, and its total log-likelihood. Raises ``ValueError``
+        if a sequence has probability 0, which includes a step whose total
+        mass underflows double precision."""
+        n, m = model.num_states, model.alphabet_size
+        start = np.zeros(n)
+        trans = np.zeros((n, n))
+        emit = np.zeros((n, m))
+        total_ll = 0.0
+        for steps, obs_emit, alpha, beta, nxt, scale in self._work:
+            # Symbols were checked when the batches were built.
+            np.take(model.emission, steps, axis=1, out=obs_emit, mode="clip")
+            _scaled_forward(model, obs_emit, alpha, scale)
+            if not np.all(scale > 0.0):
+                raise ValueError(
+                    "a training sequence has zero probability under the model")
+            _scaled_backward(model, obs_emit, alpha, scale, beta, nxt)
+            total_ll += float(np.log(scale, out=scale).sum())
+            gamma = np.multiply(alpha, beta, out=beta)  # state posteriors
+            start += gamma[:, 0].sum(axis=1)
+            symbols = steps.reshape(-1)
+            for k in range(n):
+                emit[k] += np.bincount(symbols, weights=gamma[k].reshape(-1),
+                                       minlength=m)
+            if steps.shape[0] > 1:
+                trans += model.transition * (alpha[:, :-1].reshape(n, -1)
+                                             @ nxt.reshape(n, -1).T)
+        return start, trans, emit, total_ll
 
 
 def _reestimate(start: np.ndarray, trans: np.ndarray, emit: np.ndarray,
@@ -319,11 +356,12 @@ def baum_welch(model: Hmm, training: Iterable[Sequence[int]],
     Parameters
     ----------
     model : starting point; its state count and alphabet are kept.
-    training : observation sequences (integer symbol indices), each non-empty.
+    training : observation sequences (integer symbol indices), each non-empty;
+        a 2-D integer array is one batch of equal-length sequences.
     max_iters : maximum number of EM iterations; 0 returns ``model`` unchanged.
     tol : stop once the total log-likelihood improves by less than this.
-    pseudocount : floor added to every expected count before normalization,
-        so no probability is re-estimated to exactly zero.
+    pseudocount : finite floor >= 0 added to every expected count before
+        normalization, so no probability is re-estimated to exactly zero.
 
     Returns the re-estimated model and the trace of total log-likelihoods
     recorded after each iteration. Raises ``ValueError`` if a training
@@ -334,6 +372,8 @@ def baum_welch(model: Hmm, training: Iterable[Sequence[int]],
         raise ValueError("max_iters must be >= 0")
     if not tol > 0:  # also rejects NaN
         raise ValueError("tol must be > 0")
+    if not 0 <= pseudocount < math.inf:  # also rejects NaN
+        raise ValueError("pseudocount must be a finite number >= 0")
     batches = _length_batches(model, training)
     if not batches:
         raise NoTrainingData("training collection is empty")
@@ -342,11 +382,12 @@ def baum_welch(model: Hmm, training: Iterable[Sequence[int]],
     if max_iters == 0:
         return model, trace
 
+    expected_counts = _EStep(model.num_states, batches)
     current = model
-    start, trans, emit, ll_prev = _expected_counts(current, batches)
+    start, trans, emit, ll_prev = expected_counts(current)
     for _ in range(max_iters):
         current = _reestimate(start, trans, emit, pseudocount)
-        start, trans, emit, ll = _expected_counts(current, batches)
+        start, trans, emit, ll = expected_counts(current)
         trace.append(ll)
         if ll - ll_prev < tol:
             break

@@ -8,6 +8,7 @@ predictor scores at inference time.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dssp import CLASS_ORDER
 from .errors import ClassHasNoData, LengthMismatch
@@ -17,28 +18,42 @@ from .predictor import ALPHABET, ClassModelSet, encode_residues
 
 
 def class_windows(records: list[LabeledRecord],
-                  half_width: int = 5) -> dict[str, list[np.ndarray]]:
+                  half_width: int = 5) -> dict[str, np.ndarray]:
     """Encoded windows of length 2*half_width+1 grouped by the true label of
-    the center residue. Positions without a complete window contribute none.
-    Raises :class:`LengthMismatch` when a record does not have one label per
-    encoded residue."""
+    the center residue: one (windows, 2*half_width+1) ``intp`` array per
+    class, rows in record order, then position order. Positions without a
+    complete window contribute none. Raises :class:`LengthMismatch` when a
+    record does not have one label per encoded residue, and ``ValueError``
+    naming the first center label that is not a class."""
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
-    windows: dict[str, list[np.ndarray]] = {c: [] for c in CLASS_ORDER}
+    width = 2 * half_width + 1
+    encoded: list[np.ndarray] = []
+    codes: list[str] = []
     for rec in records:
-        encoded = encode_residues(rec.sequence)
-        n = encoded.shape[0]
+        residues = encode_residues(rec.sequence)
+        n = residues.shape[0]
         if n != len(rec.labels):
             raise LengthMismatch(
                 f"record {rec.id!r}: sequence length {n} != "
                 f"label length {len(rec.labels)}")
-        for i in range(half_width, n - half_width):
-            label = rec.labels[i]
-            if label not in windows:
-                raise ValueError(f"record {rec.id!r}: label {label!r} "
-                                 f"is not one of {CLASS_ORDER!r}")
-            windows[label].append(encoded[i - half_width:i + half_width + 1])
-    return windows
+        center = rec.labels[half_width:n - half_width]
+        rest = center.lstrip(CLASS_ORDER)
+        if rest:
+            raise ValueError(f"record {rec.id!r}: label {rest[0]!r} "
+                             f"is not one of {CLASS_ORDER!r}")
+        encoded.append(residues)
+        # Per residue, its label if a complete window is centered on it and
+        # "." if not: the margins are half_width each, or the whole record.
+        codes.append(center.center(n, "."))
+    if sum(map(len, codes)) < width:
+        return {c: np.empty((0, width), dtype=np.intp) for c in CLASS_ORDER}
+    # Every window of the joined records, tagged by the code of its center;
+    # a window that spans two records is centered on a "." and never taken.
+    windows = sliding_window_view(np.concatenate(encoded), width)
+    centers = np.frombuffer("".join(codes).encode("ascii"),
+                            dtype=np.uint8)[half_width:-half_width]
+    return {c: windows[centers == ord(c)] for c in CLASS_ORDER}
 
 
 def train_models(records: list[LabeledRecord], *, num_states: int = 2,
@@ -53,7 +68,7 @@ def train_models(records: list[LabeledRecord], *, num_states: int = 2,
     """
     windows = class_windows(records, half_width)
     for label in CLASS_ORDER:
-        if not windows[label]:
+        if not len(windows[label]):
             raise ClassHasNoData(f"class {label} has no training windows")
     trained = {}
     traces: dict[str, LikelihoodTrace] = {}

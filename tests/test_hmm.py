@@ -4,6 +4,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,14 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+import reference_estep
 import ssph
 from helpers import random_model, random_stochastic, small_cases
 from ssph import (Hmm, backward_log_likelihood, baum_welch,
                   forward_log_likelihood, new_random_hmm, sequence_score,
                   viterbi)
 from ssph.errors import EmptyObservation, NoTrainingData, SymbolOutOfRange
-from ssph.hmm import (_expected_counts, _length_batches, _log_params,
+from ssph.hmm import (_EStep, _length_batches, _log_params,
                       _max_product_scores, _reestimate)
+
+
+def expected_counts(model, batches):
+    """One E-step of ``model`` over ``batches`` with freshly built buffers."""
+    return _EStep(model.num_states, batches)(model)
 
 
 def uniform_hmm(num_states, alphabet_size):
@@ -307,7 +315,7 @@ def test_unreachable_state_trains_without_error(transition):
     batches = _length_batches(model, seqs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _expected_counts(model, batches)
+        got = expected_counts(model, batches)
         _, trace = baum_welch(model, seqs, max_iters=5, tol=1e-12)
     # Every path stays in state 0, so the counts are exact integers.
     emit = np.zeros((2, 21))
@@ -329,12 +337,12 @@ def map_objective_steps(model, sequences, pseudocount, iters):
     Baum-Welch steps produce. With a pseudocount floor, EM maximizes
     log-likelihood + pseudocount * (sum of ln of every model entry), the
     log-posterior under a Dirichlet prior; only that sum must not fall."""
-    batches = _length_batches(model, sequences)
-    counts = _expected_counts(model, batches)
+    e_step = _EStep(model.num_states, _length_batches(model, sequences))
+    counts = e_step(model)
     lls, objectives = [], []
     for _ in range(iters):
         model = _reestimate(*counts[:3], pseudocount)
-        counts = _expected_counts(model, batches)
+        counts = e_step(model)
         log_prior = sum(np.log(rows).sum() for rows in
                         (model.initial, model.transition, model.emission))
         lls.append(counts[3])
@@ -461,7 +469,7 @@ def test_expected_counts_match_enumeration_on_small_cases():
         # Mixed lengths in one call, length 1 included, some repeated.
         lengths = [1, int(rng.integers(1, 8)), int(rng.integers(2, 8)), 4, 4]
         seqs = [sample(rng, model, k) for k in lengths]
-        got = _expected_counts(model, _length_batches(model, seqs))
+        got = expected_counts(model, _length_batches(model, seqs))
         assert_counts_close(got, enumerated_counts(model, seqs), 1e-10)
 
 
@@ -475,8 +483,150 @@ def test_expected_counts_match_the_log_space_e_step():
             model = make(rng, num_states, alphabet_size)
             seqs = [sample(rng, model, k) for k in lengths]
             batches = _length_batches(model, seqs)
-            assert_counts_close(_expected_counts(model, batches),
+            assert_counts_close(expected_counts(model, batches),
                                 logspace_counts(model, batches), 1e-9)
+
+
+# ------------------------------------------------------ reused E-step buffers
+
+def assert_bit_identical(got, expected):
+    for a, b in zip(got[:3], expected[:3]):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+    assert got[3] == expected[3]
+
+
+def reference_cases(seed):
+    """Models with and without zero entries, on sequences of mixed lengths
+    (length 1 included) that they give nonzero probability, and every
+    unreachable-state model."""
+    rng = np.random.default_rng(seed)
+    for i in range(40):
+        make = random_model_with_zeros if i % 2 else random_model
+        model = make(rng, int(rng.integers(1, 5)), int(rng.integers(1, 8)))
+        lengths = [1, 1, 2, 7, 7, 7, int(rng.integers(1, 30)),
+                   int(rng.integers(1, 30))]
+        yield model, [sample(rng, model, k) for k in lengths]
+    for transition in UNREACHABLE_TRANSITIONS:
+        yield (unreachable_state_hmm(transition),
+               [[0] * 400, [0] * 400, [0, 1, 2] * 100, [0], [4], [0, 7]])
+
+
+def test_e_step_equals_the_allocating_e_step_bit_for_bit():
+    for model, seqs in reference_cases(2121):
+        batches = _length_batches(model, seqs)
+        assert_bit_identical(expected_counts(model, batches),
+                             reference_estep._expected_counts(model, batches))
+
+
+def test_baum_welch_equals_em_on_the_allocating_e_step_bit_for_bit():
+    for model, seqs in reference_cases(2222):
+        batches = _length_batches(model, seqs)
+        current, trace = model, []
+        start, trans, emit, ll_prev = reference_estep._expected_counts(
+            current, batches)
+        for _ in range(6):
+            current = _reestimate(start, trans, emit, 1e-6)
+            start, trans, emit, ll = reference_estep._expected_counts(
+                current, batches)
+            trace.append(ll)
+            if ll - ll_prev < 1e-9:
+                break
+            ll_prev = ll
+        got, got_trace = baum_welch(model, seqs, max_iters=6, tol=1e-9)
+        assert got_trace == trace
+        for name in ("initial", "transition", "emission"):
+            assert np.array_equal(getattr(got, name), getattr(current, name))
+
+
+def test_likelihoods_equal_the_allocating_recursions_bit_for_bit():
+    for model, seqs in reference_cases(2323):
+        for obs in seqs[:3] + seqs[-2:]:
+            emit = reference_estep._emit_probs(model, np.array([obs]))
+            alpha, scale = reference_estep._scaled_forward(model, emit)
+            beta = reference_estep._scaled_backward(model, emit, alpha, scale)
+            first = model.initial @ (emit[:, 0, 0] * beta[:, 0, 0])
+            assert forward_log_likelihood(model, obs) == \
+                reference_estep._log_total(scale)
+            assert backward_log_likelihood(model, obs) == \
+                reference_estep._log_total(np.append(scale[1:], first))
+
+
+def test_reused_buffers_forget_the_previous_model():
+    rng = np.random.default_rng(2424)
+    b = random_model_with_zeros(rng, 3, 6)
+    seqs = [sample(rng, b, k) for k in (1, 4, 4, 9, 9, 9, 16)]
+    a = random_model(rng, 3, 6)  # no zeros: every sequence is possible
+    batches = _length_batches(a, seqs)
+    e_step = _EStep(3, batches)
+    first = e_step(a)
+    assert_bit_identical(e_step(b), reference_estep._expected_counts(b, batches))
+    assert_bit_identical(e_step(a), first)
+    assert_bit_identical(first, reference_estep._expected_counts(a, batches))
+
+
+def test_a_reused_e_step_allocates_no_lattice():
+    # numpy reports its array buffers to tracemalloc. Working arrays are
+    # allocated when the E-step is built; a call then allocates only
+    # per-step vectors, far less than one (states, length, batch) lattice.
+    model = new_random_hmm(3, 21, seed=6)
+    windows = np.random.default_rng(6).integers(0, 21, size=(3000, 11))
+    e_step = _EStep(3, _length_batches(model, windows))
+    first = e_step(model)
+    tracemalloc.start()
+    try:
+        again = e_step(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_bit_identical(again, first)
+    assert peak < windows.size * 3 * 8 / 4
+
+
+def test_zero_probability_raises_at_the_first_and_at_a_later_e_step():
+    message = "^a training sequence has zero probability under the model$"
+    for make in (single_symbol_hmm, underflowing_hmm):
+        zero = make()
+        possible = uniform_hmm(zero.num_states, zero.alphabet_size)
+        batches = _length_batches(zero, [[0, 0], [0, 1], [0]])
+        e_step = _EStep(zero.num_states, batches)
+        with pytest.raises(ValueError, match=message):
+            e_step(zero)
+        first = e_step(possible)
+        with pytest.raises(ValueError, match=message):
+            e_step(zero)
+        assert_bit_identical(e_step(possible), first)
+
+
+def test_concurrent_baum_welch_calls_match_their_sequential_runs():
+    rng = np.random.default_rng(2525)
+    cases = []
+    for seed in (1, 2):
+        model = new_random_hmm(3, 21, seed=seed)
+        cases.append((model, [rng.integers(0, 21, size=k)
+                              for k in [11] * 600 + [3, 5, 5, 40]]))
+    sequential = [baum_welch(model, seqs, max_iters=8, tol=1e-12)
+                  for model, seqs in cases]
+    results = [[], []]
+    barrier = threading.Barrier(2)
+
+    def run(i):
+        barrier.wait()
+        for _ in range(3):
+            results[i].append(baum_welch(*cases[i], max_iters=8, tol=1e-12))
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for expected, runs in zip(sequential, results):
+        assert len(runs) == 3
+        for fitted, trace in runs:
+            assert trace == expected[1]
+            for name in ("initial", "transition", "emission"):
+                assert np.array_equal(getattr(fitted, name),
+                                      getattr(expected[0], name))
 
 
 # ------------------------------------------------------------ dependencies
@@ -577,6 +727,28 @@ def test_baum_welch_rejects_bad_arguments():
     for tol in (0.0, float("nan")):
         with pytest.raises(ValueError, match="tol"):
             baum_welch(model, [[0]], tol=tol)
+
+
+@pytest.mark.parametrize("pseudocount", [float("nan"), float("inf"), -1.0,
+                                         -1e-12])
+def test_baum_welch_rejects_a_bad_pseudocount_before_any_e_step(pseudocount):
+    # The E-step would reject the zero-probability sequence; the pseudocount
+    # is checked first, with no warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for model, seqs in ((uniform_hmm(2, 4), [[0, 1], [3]]),
+                            (single_symbol_hmm(), [[0, 1]])):
+            with pytest.raises(ValueError, match="^pseudocount must be a "
+                                                 "finite number >= 0$"):
+                baum_welch(model, seqs, max_iters=3, pseudocount=pseudocount)
+
+
+def test_baum_welch_allows_a_zero_pseudocount():
+    model = new_random_hmm(2, 4, seed=8)
+    result, trace = baum_welch(model, [[0, 1, 2], [2, 2]], max_iters=4,
+                               pseudocount=0.0)
+    assert len(trace) >= 1
+    assert result.emission[:, 3].max() == 0.0  # symbol 3 is never seen
 
 
 # ------------------------------------------------------------- sequence_score

@@ -2,12 +2,78 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ssph import (LabeledRecord, class_windows, planted_dataset,
-                  planted_models, predict_structure, sample_observations,
-                  train_models)
-from ssph.errors import ClassHasNoData, LengthMismatch
+from ssph import (LabeledRecord, baum_welch, class_windows, new_random_hmm,
+                  planted_dataset, planted_models, predict_structure,
+                  sample_observations, train_models)
+from ssph.dssp import CLASS_ORDER
+from ssph.errors import (ClassHasNoData, EmptyObservation, LengthMismatch,
+                         NoTrainingData, SymbolOutOfRange)
+from ssph.predictor import ALPHABET, encode_residues
 from ssph.synthetic import CLASS_RESIDUE_GROUPS
+
+
+def reference_class_windows(records, half_width):
+    """The per-residue loop that the one-array-per-class version replaced,
+    kept as its reference: one window view appended per centered position."""
+    if half_width < 1:
+        raise ValueError("half_width must be >= 1")
+    windows = {c: [] for c in CLASS_ORDER}
+    for rec in records:
+        encoded = encode_residues(rec.sequence)
+        n = encoded.shape[0]
+        if n != len(rec.labels):
+            raise LengthMismatch(
+                f"record {rec.id!r}: sequence length {n} != "
+                f"label length {len(rec.labels)}")
+        for i in range(half_width, n - half_width):
+            label = rec.labels[i]
+            if label not in windows:
+                raise ValueError(f"record {rec.id!r}: label {label!r} "
+                                 f"is not one of {CLASS_ORDER!r}")
+            windows[label].append(encoded[i - half_width:i + half_width + 1])
+    return windows
+
+
+def assert_same_outcome(records, half_width):
+    """``class_windows`` gives the reference's windows as one intp array per
+    class, or raises the reference's exception type with its message."""
+    try:
+        expected = reference_class_windows(records, half_width)
+    except Exception as exc:
+        with pytest.raises(Exception) as info:
+            class_windows(records, half_width)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+        return
+    got = class_windows(records, half_width)
+    assert list(got) == list(CLASS_ORDER)
+    width = 2 * half_width + 1
+    for c in CLASS_ORDER:
+        assert got[c].dtype == np.intp
+        assert got[c].shape == (len(expected[c]), width)
+        assert got[c].tolist() == [w.tolist() for w in expected[c]]
+
+
+@st.composite
+def labeled_records(draw):
+    """Up to four records of 0-40 residues; some carry a label outside the
+    classes, or one label too many or too few."""
+    records = []
+    for k in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 40))
+        sequence = draw(st.text(alphabet=ALPHABET + "bx", min_size=n,
+                                max_size=n))
+        labels = list(draw(st.text(alphabet=CLASS_ORDER, min_size=n,
+                                   max_size=n)))
+        if n and draw(st.integers(0, 5)) == 0:
+            labels[draw(st.integers(0, n - 1))] = draw(st.sampled_from("Qhé"))
+        change = draw(st.sampled_from([0] * 8 + [-1, 1]))
+        labels = labels[:n + change] if change < 0 else labels + ["C"] * change
+        records.append(LabeledRecord(f"r{k}", sequence, "".join(labels)))
+    return records
 
 
 def test_class_windows_groups_by_center_label():
@@ -46,10 +112,92 @@ def test_class_windows_rejects_records_of_unequal_length(sequence, labels,
         class_windows([LabeledRecord("x", sequence, labels)], half_width=1)
 
 
+@settings(max_examples=400, deadline=None)
+@given(records=labeled_records(), half_width=st.integers(1, 4))
+def test_class_windows_matches_the_per_residue_loop(records, half_width):
+    assert_same_outcome(records, half_width)
+
+
+@pytest.mark.parametrize("bad", ["Q", "h", "é"])
+def test_class_windows_reports_the_first_bad_center_label(bad):
+    records = [LabeledRecord("ok", "ACDEFGHIK", "HHHEEECCC"),
+               LabeledRecord("bad", "ACDEFGHIK", f"{bad}HH{bad}EQCCh")]
+    with pytest.raises(ValueError, match=f"^record 'bad': label '{bad}' is "
+                                         f"not one of 'HEC'$"):
+        class_windows(records, half_width=2)
+    for half_width in (1, 2, 3, 4, 5):
+        assert_same_outcome(records, half_width)
+
+
+def test_class_windows_reports_a_length_mismatch_in_a_later_record():
+    records = [LabeledRecord("a", "ACDEFGH", "HHHEEEC"),
+               LabeledRecord("b", "ACDEF", "HHHEEE"),
+               LabeledRecord("c", "ACD", "HQ")]
+    with pytest.raises(LengthMismatch, match="^record 'b': sequence length "
+                                             "5 != label length 6$"):
+        class_windows(records, half_width=1)
+    assert_same_outcome(records, 1)
+
+
+def test_class_windows_empty_class_is_a_zero_row_array():
+    for records in ([], [LabeledRecord("r", "ACDEFGH", "HHHHHHH")]):
+        windows = class_windows(records, half_width=2)
+        for c in "EC":
+            assert windows[c].shape == (0, 5)
+            assert windows[c].dtype == np.intp
+    assert windows["H"].shape == (3, 5)
+
+
+def test_baum_welch_takes_a_window_array_as_its_rows():
+    windows = class_windows(planted_dataset(12, 40, seed=9), half_width=3)
+    for offset, c in enumerate(CLASS_ORDER):
+        model = new_random_hmm(3, len(ALPHABET), seed=offset)
+        rows = [r.tolist() for r in windows[c]]
+        got, got_trace = baum_welch(model, windows[c], max_iters=6, tol=1e-12)
+        want, want_trace = baum_welch(model, rows, max_iters=6, tol=1e-12)
+        assert got_trace == want_trace
+        for name in ("initial", "transition", "emission"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("array, error, message", [
+    (np.empty((0, 5), dtype=np.intp), NoTrainingData, "^training collection "
+                                                        "is empty$"),
+    (np.empty((3, 0), dtype=np.intp), EmptyObservation, "is empty"),
+    (np.zeros((2, 4)), ValueError, "^observation symbols must be integers, "
+                                   "got dtype float64$"),
+    (np.array([[0, 1, 21], [2, 3, 4]]), SymbolOutOfRange,
+     r"^symbols must be in \[0, 21\); got range \[0, 21\]$"),
+    (np.zeros((2, 3, 4), dtype=np.intp), ValueError, "must be 1-D"),
+])
+def test_baum_welch_window_array_errors_match_its_rows(array, error, message):
+    model = new_random_hmm(2, len(ALPHABET), seed=0)
+    for training in (array, [r.tolist() for r in array]):
+        with pytest.raises(error, match=message):
+            baum_welch(model, training, max_iters=2)
+
+
 def test_train_models_requires_data_for_every_class():
     rec = LabeledRecord("r", "ACDEFGH", "HHHHHHH")
     with pytest.raises(ClassHasNoData, match="class E"):
         train_models([rec], half_width=1, max_iters=1)
+
+
+@pytest.mark.parametrize("pseudocount", [float("nan"), float("inf"), -1.0,
+                                         -1e-12])
+def test_train_models_rejects_a_bad_pseudocount(pseudocount):
+    records = planted_dataset(4, 20, seed=3)
+    with pytest.raises(ValueError, match="^pseudocount must be a finite "
+                                         "number >= 0$"):
+        train_models(records, half_width=2, max_iters=2,
+                     pseudocount=pseudocount)
+
+
+def test_train_models_allows_a_zero_pseudocount():
+    records = planted_dataset(6, 30, seed=3)
+    _, traces = train_models(records, half_width=2, max_iters=2,
+                             pseudocount=0.0)
+    assert all(traces[c] for c in CLASS_ORDER)
 
 
 def test_train_models_is_deterministic():
