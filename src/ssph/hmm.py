@@ -336,15 +336,19 @@ class _EStep:
         return start, trans, emit, total_ll
 
 
-def _reestimate(start: np.ndarray, trans: np.ndarray, emit: np.ndarray,
-                pseudocount: float) -> Hmm:
-    initial = start + pseudocount
-    transition = trans + pseudocount
-    emission = emit + pseudocount
+def _normalized(counts: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Each row of ``counts`` divided by its total; a row whose total is 0
+    keeps its row of ``previous``."""
+    totals = counts.sum(axis=-1, keepdims=True)
+    return np.divide(counts, totals, out=previous.copy(), where=totals > 0)
+
+
+def _reestimate(previous: Hmm, start: np.ndarray, trans: np.ndarray,
+                emit: np.ndarray, pseudocount: float) -> Hmm:
     return Hmm(
-        initial=initial / initial.sum(),
-        transition=transition / transition.sum(axis=1, keepdims=True),
-        emission=emission / emission.sum(axis=1, keepdims=True),
+        initial=_normalized(start + pseudocount, previous.initial),
+        transition=_normalized(trans + pseudocount, previous.transition),
+        emission=_normalized(emit + pseudocount, previous.emission),
     )
 
 
@@ -362,6 +366,9 @@ def baum_welch(model: Hmm, training: Iterable[Sequence[int]],
     tol : stop once the total log-likelihood improves by less than this.
     pseudocount : finite floor >= 0 added to every expected count before
         normalization, so no probability is re-estimated to exactly zero.
+        At 0, a row whose counts total 0 has no evidence (a state the
+        training data never visits, say) and keeps its current row, which
+        leaves the likelihood unchanged.
 
     Returns the re-estimated model and the trace of total log-likelihoods
     recorded after each iteration. Raises ``ValueError`` if a training
@@ -386,7 +393,7 @@ def baum_welch(model: Hmm, training: Iterable[Sequence[int]],
     current = model
     start, trans, emit, ll_prev = expected_counts(current)
     for _ in range(max_iters):
-        current = _reestimate(start, trans, emit, pseudocount)
+        current = _reestimate(current, start, trans, emit, pseudocount)
         start, trans, emit, ll = expected_counts(current)
         trace.append(ll)
         if ll - ll_prev < tol:

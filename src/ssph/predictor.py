@@ -3,18 +3,19 @@
 Each residue is classified by scoring the window centered on it under three
 class-specific HMMs (helix, strand, coil); the class whose model assigns the
 highest Viterbi path probability wins. :func:`predict_structures` labels
-many sequences at once: it concatenates the complete windows of consecutive
-sequences into chunks of at most :data:`CHUNK_WINDOWS` windows and scores
-each chunk in one max-product pass per class model, so memory follows the
-chunk and the longest sequence, not the number of sequences.
-:func:`predict_structure` is its one-sequence form.
+many sequences at once: it joins them into one residue string and scores its
+windows in slices of :data:`CHUNK_WINDOWS` center positions, one max-product
+pass per class model and slice, so memory is a few bytes per residue plus one
+slice. :func:`predict_structure` is its one-sequence form.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .dssp import CLASS_ORDER
 from .errors import EmptySequence
@@ -29,9 +30,10 @@ UNKNOWN_RESIDUE = "X"
 # Equal window scores go to the label listed first here.
 TIE_BREAK = "HCE"
 
-# Windows scored per kernel call. Large enough that numpy's per-call cost is
-# spread over many windows; each chunk's scoring arrays take about 100 bytes
-# per window.
+# Window centers per slice of the joined residues, so at most this many
+# windows per kernel call. Large enough that numpy's per-call cost is spread
+# over many windows; each slice's scoring arrays take about 100 bytes per
+# window.
 CHUNK_WINDOWS = 8192
 
 
@@ -99,58 +101,40 @@ def predict_structures(models: ClassModelSet, sequences: Iterable[str],
     sequence shorter than one window. Each output has one label per residue
     of ``fold_residues(sequence)``, which drops whitespace.
 
-    The windows of consecutive sequences are scored together, in chunks of
-    at most :data:`CHUNK_WINDOWS` windows (a long sequence spans several),
-    one batched pass per class model and chunk.
+    The folded sequences are joined into one residue string and its window
+    centers are walked in slices of :data:`CHUNK_WINDOWS` positions, one
+    batched pass per class model and slice; a window that spans two
+    sequences is never scored. Memory is a few bytes per input residue plus
+    one slice's scoring arrays.
     """
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
     if boundary_label not in tuple(CLASS_ORDER):  # one letter, not a substring
         raise ValueError(f"boundary_label must be one of {CLASS_ORDER!r}")
     params = [_log_params(models[label]) for label in TIE_BREAK]
-    results: list[np.ndarray] = []
-    # Window blocks waiting in the current chunk, and the label slices
-    # (views into ``results``) their calls go to.
-    blocks: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    pending = 0
-
-    def score_chunk() -> None:
-        windows = np.concatenate(blocks)
+    folded = [fold_residues(sequence) for sequence in sequences]
+    if not all(folded):
+        raise EmptySequence("residue sequence is empty")
+    residues = "".join(folded)
+    # Per residue, whether a complete window of its own sequence is centered
+    # on it: not in the half_width margins, nor in a sequence too short for
+    # one window.
+    centered = np.frombuffer(b"".join(
+        (b"\1" * (len(f) - 2 * half_width)).center(len(f), b"\0")
+        for f in folded), dtype=bool)
+    labels = np.full(len(residues), ord(boundary_label), dtype=np.uint8)
+    last = len(residues) - half_width
+    for start in range(half_width, last, CHUNK_WINDOWS):
+        stop = min(start + CHUNK_WINDOWS, last)
+        keep = centered[start:stop]
+        windows = sliding_window_view(
+            encode_residues(residues[start - half_width:stop + half_width]),
+            2 * half_width + 1)[keep]
         scores = [_max_product_scores(*p, windows) for p in params]
-        best = _TIE_BREAK_BYTES[np.argmax(scores, axis=0)]
-        start = 0
-        for target in targets:
-            target[:] = best[start:start + len(target)]
-            start += len(target)
-        blocks.clear()
-        targets.clear()
-
-    for sequence in sequences:
-        encoded = encode_residues(sequence)
-        n = encoded.shape[0]
-        if n == 0:
-            raise EmptySequence("residue sequence is empty")
-        labels = np.full(n, ord(boundary_label), dtype=np.uint8)
-        results.append(labels)
-        if n <= 2 * half_width:
-            continue
-        windows = np.lib.stride_tricks.sliding_window_view(
-            encoded, 2 * half_width + 1)
-        interior = labels[half_width:n - half_width]
-        done = 0
-        while done < len(windows):
-            take = min(CHUNK_WINDOWS - pending, len(windows) - done)
-            blocks.append(windows[done:done + take])
-            targets.append(interior[done:done + take])
-            done += take
-            pending += take
-            if pending == CHUNK_WINDOWS:
-                score_chunk()
-                pending = 0
-    if pending:
-        score_chunk()
-    return [labels.tobytes().decode("ascii") for labels in results]
+        labels[start:stop][keep] = _TIE_BREAK_BYTES[np.argmax(scores, axis=0)]
+    ends = accumulate(map(len, folded))
+    return [labels[end - len(f):end].tobytes().decode("ascii")
+            for f, end in zip(folded, ends)]
 
 
 def predict_structure(models: ClassModelSet, sequence: str,

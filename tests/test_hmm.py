@@ -330,6 +330,18 @@ def test_unreachable_state_trains_without_error(transition):
     assert trace[-1] == pytest.approx(best, abs=1e-4)
 
 
+def test_zero_count_rows_keep_their_row_at_pseudocount_zero():
+    # State 1 is never entered, so at pseudocount 0 its transition and
+    # emission counts total 0: with no evidence, both rows stay as they were.
+    model = Hmm(initial=[1, 0], transition=[[1, 0], [0, 1]],
+                emission=[[0.5, 0.5], [0.5, 0.5]])
+    trained, trace = baum_welch(model, [[0, 1, 0]], pseudocount=0.0)
+    assert np.array_equal(trained.transition[1], model.transition[1])
+    assert np.array_equal(trained.emission[1], model.emission[1])
+    assert trained.emission[0] == pytest.approx([2 / 3, 1 / 3], rel=1e-15)
+    assert np.diff(trace).min() >= -1e-9
+
+
 # ---------------------------------------------------------- MAP-EM objective
 
 def map_objective_steps(model, sequences, pseudocount, iters):
@@ -341,7 +353,7 @@ def map_objective_steps(model, sequences, pseudocount, iters):
     counts = e_step(model)
     lls, objectives = [], []
     for _ in range(iters):
-        model = _reestimate(*counts[:3], pseudocount)
+        model = _reestimate(model, *counts[:3], pseudocount)
         counts = e_step(model)
         log_prior = sum(np.log(rows).sum() for rows in
                         (model.initial, model.transition, model.emission))
@@ -519,14 +531,22 @@ def test_e_step_equals_the_allocating_e_step_bit_for_bit():
                              reference_estep._expected_counts(model, batches))
 
 
+def plain_reestimate(start, trans, emit, pseudocount):
+    """The M-step as plain division of every row by its total."""
+    rows = [counts + pseudocount for counts in (start, trans, emit)]
+    return Hmm(*(r / r.sum(axis=-1, keepdims=True) for r in rows))
+
+
 def test_baum_welch_equals_em_on_the_allocating_e_step_bit_for_bit():
+    # Every count total is positive at pseudocount 1e-6, so the M-step is
+    # plain division.
     for model, seqs in reference_cases(2222):
         batches = _length_batches(model, seqs)
         current, trace = model, []
         start, trans, emit, ll_prev = reference_estep._expected_counts(
             current, batches)
         for _ in range(6):
-            current = _reestimate(start, trans, emit, 1e-6)
+            current = plain_reestimate(start, trans, emit, 1e-6)
             start, trans, emit, ll = reference_estep._expected_counts(
                 current, batches)
             trace.append(ll)

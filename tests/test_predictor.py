@@ -1,6 +1,7 @@
 """Window classification and the sliding-window predictor."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 import oracle
 from helpers import random_model, single_symbol_stub, stub_model_set
 from ssph import (ALPHABET, ClassModelSet, encode_residues, fold_residues,
-                  new_random_hmm, planted_models, predict_structure,
-                  predict_structures, predictor, viterbi)
+                  new_random_hmm, planted_dataset, planted_models,
+                  predict_structure, predict_structures, predictor, viterbi)
 from ssph.errors import EmptySequence
 from ssph.hmm import _log_params, _max_product_scores
 
@@ -170,6 +171,8 @@ def test_predict_structure_labels_each_residue_not_each_character():
 def test_predict_structure_rejects_empty_sequence():
     with pytest.raises(EmptySequence):
         predict_structure(stub_model_set(), "")
+    with pytest.raises(EmptySequence):  # nothing left once folded
+        predict_structures(stub_model_set(), ["ACDEFGHIKLM", "AC", " \t\n"])
 
 
 def test_predict_structure_rejects_zero_half_width():
@@ -275,18 +278,49 @@ def test_predict_structures_matches_the_per_window_loop_across_records(
     # Records too short for a window (1, 2w) and of exactly one window
     # (2w+1) at the start, in the middle and at the end, between records
     # that span several chunks, so chunk boundaries fall inside records,
-    # between them and next to the short ones.
+    # between them and next to the short ones. The last records carry
+    # whitespace, lower case and letters outside the alphabet, so their
+    # folded lengths differ from their text's. The sequences come from a
+    # one-shot generator, as in ``ssph predict``.
     monkeypatch.setattr(predictor, "CHUNK_WINDOWS", chunk_windows)
     rng = np.random.default_rng(40 + half_width)
     width = 2 * half_width + 1
     short = [1, width - 1, width]
     lengths = short + [width + 5, 3 * width] + short + [width + 20] + short
+    text = list(ALPHABET + ALPHABET.lower() + "BZJUOé*- \t\n")
     for models in regression_model_sets():
         seqs = ["".join(ALPHABET[i] for i in rng.integers(0, 21, length))
                 for length in lengths]
-        assert predict_structures(models, seqs, half_width, boundary_label) \
-            == [reference_predict(models, seq, half_width, boundary_label)
+        seqs += ["M" + "".join(rng.choice(text, length))
+                 for length in (0, width - 1, width, width + 1, 4 * width)]
+        assert predict_structures(models, (seq for seq in seqs), half_width,
+                                  boundary_label) \
+            == [reference_predict(models, fold_residues(seq), half_width,
+                                  boundary_label)
                 for seq in seqs]
+
+
+def test_predict_structures_memory_grows_by_a_few_bytes_per_residue():
+    # Twelve planted chains of 4 to 1000 residues, the shape of the
+    # predict-proteome benchmark input, at 10x and 100x. Labelling keeps a
+    # few bytes per residue (folded text, window mask, labels) plus one
+    # chunk's scoring arrays, so 8 bytes per added residue is an upper bound;
+    # holding 8-byte symbol indices for the whole input would exceed it.
+    lengths = [round(4 * 250 ** (i / 11)) for i in range(12)]
+    chains = [planted_dataset(1, length, seed=100 + i)[0].sequence
+              for i, length in enumerate(lengths)]
+    models = planted_models(0.05)
+
+    def peak(copies):
+        sequences = chains * copies
+        tracemalloc.start()
+        try:
+            predict_structures(models, sequences)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(100) - peak(10) <= 8 * 90 * sum(lengths)
 
 
 def test_predict_structures_of_no_sequences_is_empty():
