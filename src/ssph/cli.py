@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .dssp import CLASS_ORDER
 from .errors import LengthMismatch, RecordMismatch, SsphError
@@ -60,7 +59,6 @@ def cmd_eval(args: argparse.Namespace) -> None:
     if len(preds) != len(truths):
         raise RecordMismatch(f"{len(preds)} prediction records vs "
                              f"{len(truths)} truth records")
-    total = np.zeros((3, 3), dtype=np.int64)
     for (pred_id, pred), (truth_id, truth) in zip(preds, truths):
         if pred_id != truth_id:
             raise RecordMismatch(
@@ -69,10 +67,12 @@ def cmd_eval(args: argparse.Namespace) -> None:
             raise LengthMismatch(
                 f"record {pred_id!r}: prediction length {len(pred)} != "
                 f"truth length {len(truth)}")
-        if not args.include_boundary_in_eval:
-            pred = pred[args.window:len(pred) - args.window]
-            truth = truth[args.window:len(truth) - args.window]
-        total += confusion(pred, truth)
+    # Residues dropped from each end of every record before scoring.
+    margin = 0 if args.include_boundary_in_eval else args.window
+    pred, truth = ("".join(labels[margin:len(labels) - margin]
+                           for _, labels in records)
+                   for records in (preds, truths))
+    total = confusion(pred, truth)
     report = format_report(total)
     if args.out:
         atomic_write_text(args.out, report)
@@ -82,7 +82,12 @@ def cmd_eval(args: argparse.Namespace) -> None:
         atomic_write_text(args.csv, format_report_csv(total))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ssph`` argument parser, built on the first call and returned by
+    every later one, so callers must not change it. Parsing leaves it
+    unchanged, and each ``add_argument`` of a fresh build costs a help
+    formatter and a terminal-size query."""
     parser = argparse.ArgumentParser(
         prog="ssph",
         description="Sliding-window protein secondary structure prediction "

@@ -183,18 +183,26 @@ def _max_product_scores(log_init: np.ndarray, log_trans: np.ndarray,
     the backtrace. It makes the same additions and ``max`` returns one of its
     inputs, so every score equals ``viterbi(...).log_prob`` bit for bit.
 
-    ``delta`` is state-major, (states, batch), so each step reads one
-    emission row per state and takes each target state's maximum over its
-    predecessors as ``np.maximum`` over (batch,) vectors."""
-    steps = obs.T  # (length, batch)
-    delta = log_init[:, None] + log_emit[:, steps[0]]
+    ``delta`` holds one contiguous (batch,) vector per state, and each step
+    takes each target state's maximum over its predecessors as
+    ``np.maximum`` over those vectors. Each state's emissions are gathered
+    with the 1-D ``np.take`` from one contiguous (length, batch) copy of the
+    symbols. The 2-D gather ``log_emit[:, symbols]`` would return a
+    batch-major array, strides ``(8, 8 * states)``, whose strided rows slow
+    every addition and ``np.maximum`` of the step; ``np.take(..., axis=1)``
+    avoids that but is slower than the 1-D form at one state."""
+    steps = np.ascontiguousarray(obs.T)  # (length, batch)
+    states = range(len(log_init))
+    delta = [log_init[j] + log_emit[j].take(steps[0]) for j in states]
     for symbols in steps[1:]:
-        new = log_emit[:, symbols]
-        for j in range(len(log_init)):
+        new = []
+        for j in states:
             best = delta[0] + log_trans[0, j]
-            for i in range(1, len(log_init)):
+            for i in states[1:]:
                 np.maximum(best, delta[i] + log_trans[i, j], out=best)
-            new[j] += best
+            row = log_emit[j].take(symbols)
+            row += best
+            new.append(row)
         delta = new
     return np.max(delta, axis=0)
 

@@ -187,8 +187,14 @@ def format_models(models: ClassModelSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_prob_row(line: str, line_no: int, keyword: str,
-                    width: int) -> np.ndarray:
+def _split_row(lines: list[str], index: int, keyword: str,
+               width: int) -> list[float]:
+    """The ``width`` numbers of ``lines[index]``, a ``keyword`` row, each
+    converted by ``float``."""
+    line_no = index + 1
+    if index == len(lines):
+        raise ModelFormatError(f"line {line_no}: unexpected end of file")
+    line = lines[index]
     fields = line.split(" ")
     if fields[0] != keyword:
         raise ModelFormatError(
@@ -198,18 +204,54 @@ def _parse_prob_row(line: str, line_no: int, keyword: str,
             f"line {line_no}: expected {width} values on '{keyword}' row, "
             f"got {len(fields) - 1}")
     try:
-        row = np.array([float(f) for f in fields[1:]])
+        return list(map(float, fields[1:]))
     except ValueError:
         raise ModelFormatError(
             f"line {line_no}: '{keyword}' row has a non-numeric field") from None
-    if not np.all((row >= 0.0) & (row <= 1.0)):  # also rejects NaN
-        raise ModelFormatError(
-            f"line {line_no}: '{keyword}' row has entries outside [0, 1]")
-    total = float(row.sum())
-    if abs(total - 1.0) > ROW_SUM_TOL:
-        raise ModelFormatError(
-            f"line {line_no}: '{keyword}' row sums to {total!r}, not 1")
-    return row
+
+
+def _check_prob_rows(rows: np.ndarray, keywords: list[str],
+                     line_no: int) -> None:
+    """Raise for the first of ``rows``, which start at line ``line_no``,
+    that has an entry outside [0, 1] or a sum off 1 by more than
+    :data:`ROW_SUM_TOL`."""
+    in_range = ((rows >= 0.0) & (rows <= 1.0)).all(axis=1)  # rejects NaN
+    sums = rows.sum(axis=1)
+    bad = ~in_range | (np.abs(sums - 1.0) > ROW_SUM_TOL)
+    if bad.any():
+        i = int(bad.argmax())
+        row = f"line {line_no + i}: '{keywords[i]}' row"
+        if not in_range[i]:
+            raise ModelFormatError(f"{row} has entries outside [0, 1]")
+        raise ModelFormatError(f"{row} sums to {float(sums[i])!r}, not 1")
+
+
+def _prob_rows(lines: list[str], pos: int, k: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The initial, transition and emission rows of a ``k``-state model
+    whose 'initial' row is ``lines[pos]``.
+
+    Each row is split and converted on its own; the range and sum checks run
+    once, on one array per row width. They cover the rows before the first
+    malformed one, and an error there is raised first, so every error names
+    the line that checking row by row would."""
+    keywords = ["initial"] + ["transition"] * k + ["emission"] * k
+    rows: list[list[float]] = []
+    malformed = None
+    for index, keyword in enumerate(keywords, start=pos):
+        width = len(ALPHABET) if keyword == "emission" else k
+        try:
+            rows.append(_split_row(lines, index, keyword, width))
+        except ModelFormatError as exc:
+            malformed = exc
+            break
+    square = np.array(rows[:k + 1], dtype=float).reshape(-1, k)
+    emission = np.array(rows[k + 1:], dtype=float).reshape(-1, len(ALPHABET))
+    _check_prob_rows(square, keywords, pos + 1)
+    _check_prob_rows(emission, keywords[k + 1:], pos + k + 2)
+    if malformed is not None:
+        raise malformed
+    return square[0], square[1:], emission
 
 
 def parse_models(text: str) -> ClassModelSet:
@@ -230,10 +272,6 @@ def parse_models(text: str) -> ClassModelSet:
                 f"line {pos}: expected '{expected}', got {line!r}")
         return line
 
-    def row(keyword: str, width: int) -> np.ndarray:
-        line = take()
-        return _parse_prob_row(line, pos, keyword, width)
-
     take(MODEL_FORMAT_VERSION)
     take(f"alphabet {ALPHABET}")
     models = {}
@@ -248,9 +286,8 @@ def parse_models(text: str) -> ClassModelSet:
         k = int(fields[1])
         if k < 1:
             raise ModelFormatError(f"line {pos}: states must be >= 1")
-        initial = row("initial", k)
-        transition = np.stack([row("transition", k) for _ in range(k)])
-        emission = np.stack([row("emission", len(ALPHABET)) for _ in range(k)])
+        initial, transition, emission = _prob_rows(lines, pos, k)
+        pos += 2 * k + 1
         models[tag] = Hmm(initial=initial, transition=transition,
                           emission=emission)
     for line_no, line in enumerate(lines[pos:], start=pos + 1):

@@ -32,8 +32,10 @@ TIE_BREAK = "HCE"
 
 # Window centers per slice of the joined residues, so at most this many
 # windows per kernel call. Large enough that numpy's per-call cost is spread
-# over many windows; each slice's scoring arrays take about 100 bytes per
-# window.
+# over many windows. At half-width 5 each slice's scoring arrays take about
+# 250 to 300 bytes per window (2 to 4 states): the selected windows and the
+# kernel's step-major copy of them, 88 bytes each, plus a few float vectors
+# per state.
 CHUNK_WINDOWS = 8192
 
 

@@ -1,13 +1,22 @@
 """End-to-end command line runs against temporary files."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import stub_model_set
+import ssph
 from ssph import (format_fasta, format_labeled_dataset, format_label_records,
                   parse_label_records, planted_dataset, write_models)
 from ssph.cli import build_parser, main
 from ssph.io import FastaRecord
+from ssph.metrics import confusion, format_report_csv
 
 
 def write_dataset(path, records):
@@ -220,6 +229,39 @@ def test_eval_boundary_exclusion_flag(tmp_path, capsys):
     assert "Q3: 1.0000" in excluded
 
 
+@given(st.lists(st.tuples(st.text("HEC", min_size=1, max_size=14),
+                          st.text("HEC", min_size=14, max_size=14)),
+                min_size=1, max_size=4),
+       st.integers(min_value=1, max_value=5), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_eval_counts_every_record_as_the_record_loop_does(tmp_path_factory,
+                                                          pairs, window,
+                                                          include):
+    """One confusion over the joined (trimmed) records gives the CSV that
+    summing one confusion per record gives."""
+    tmp_path = tmp_path_factory.mktemp("eval")
+    pairs = [(pred, truth[:len(pred)]) for pred, truth in pairs]
+    margin = 0 if include else window
+    total = sum(confusion(pred[margin:len(pred) - margin],
+                          truth[margin:len(truth) - margin])
+                for pred, truth in pairs)
+    for name, column in (("p.txt", 0), ("t.txt", 1)):
+        (tmp_path / name).write_text(format_label_records(
+            [(f"r{i}", pair[column]) for i, pair in enumerate(pairs)]),
+            encoding="utf-8")
+    csv = tmp_path / "r.csv"
+    flag = "--include-boundary-in-eval" if include else \
+        "--no-include-boundary-in-eval"
+    code = main(["eval", "--pred", str(tmp_path / "p.txt"), "--truth",
+                 str(tmp_path / "t.txt"), "--window", str(window), flag,
+                 "--out", str(tmp_path / "r.txt"), "--csv", str(csv)])
+    if total.sum() == 0:  # every residue trimmed: no counts to report
+        assert code == 1 and not csv.exists()
+    else:
+        assert code == 0
+        assert csv.read_text(encoding="utf-8") == format_report_csv(total)
+
+
 def test_eval_writes_report_and_csv_files(tmp_path):
     labels = [("a", "HHEECC")]
     pred = tmp_path / "p.txt"
@@ -270,3 +312,58 @@ def test_invalid_flag_values_fail_cleanly(tmp_path, chains, capsys):
                      flag, "-1"])
         assert code == 1
         assert flag in capsys.readouterr().err
+
+
+# One process reuses main() (and its parser) for every run below; each run
+# must match a fresh ``python -m ssph.cli`` with the same arguments and files.
+REUSE_RUNS = (
+    ["train", "--data", "train.txt", "--out", "models.txt", "--states", "2",
+     "--window", "2", "--iters", "3"],
+    ["predict", "--models", "models.txt", "--fasta", "test.fa",
+     "--out", "pred.txt", "--window", "2"],
+    ["eval", "--pred", "pred.txt", "--truth", "truth.txt", "--window", "2"],
+    ["eval", "--pred", "pred.txt", "--truth", "truth.txt", "--window", "2",
+     "--csv", "report.csv"],
+    ["eval", "--pred", "pred.txt", "--truth", "truth.txt", "--window", "2",
+     "--no-include-boundary-in-eval", "--out", "trimmed.txt"],
+    ["eval", "--pred", "pred.txt", "--truth", "truth.txt", "--window", "2"],
+    ["predict", "--models", "models.txt", "--fasta", "test.fa",
+     "--out", "zero.txt", "--window", "0"],
+    ["predict", "--models", "models.txt", "--fasta", "test.fa"],
+    ["predict", "--models", "models.txt", "--fasta", "test.fa",
+     "--out", "pred2.txt", "--boundary-label", "H"],
+)
+
+
+def files_of(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_main_reused_in_one_process_matches_fresh_runs(tmp_path, chains,
+                                                       capsys, monkeypatch):
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    for directory in (reused, fresh):
+        directory.mkdir()
+        write_dataset(directory / "train.txt", chains[:16])
+        fasta_from_records(directory / "test.fa", chains[16:])
+        (directory / "truth.txt").write_text(format_label_records(
+            [(r.id, r.labels) for r in chains[16:]]), encoding="utf-8")
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at this width
+    monkeypatch.chdir(reused)
+    src = str(Path(ssph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    codes = []
+    for argv in REUSE_RUNS:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        done = subprocess.run([sys.executable, "-m", "ssph.cli", *argv],
+                              cwd=fresh, env=env, capture_output=True,
+                              text=True)
+        assert (code, out, err) == (done.returncode, done.stdout,
+                                    done.stderr), argv
+        assert files_of(reused) == files_of(fresh), argv
+        codes.append(code)
+    assert codes == [0] * 6 + [1, 2, 0]

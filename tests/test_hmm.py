@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import oracle
 import reference_estep
@@ -861,6 +862,47 @@ def test_property_batched_scores_equal_viterbi(case):
     scores = batched_scores(model, obs)
     assert [float(s) for s in scores] == \
         [viterbi(model, row).log_prob for row in obs]
+
+
+def window_layouts(windows):
+    """The same (batch, length) symbols as the uncopied view ``windows`` and
+    as C-order, Fortran-order, int32 and uint8 copies."""
+    return {"view": windows, "c": np.array(windows),
+            "fortran": np.asfortranarray(windows),
+            "int32": windows.astype(np.int32),
+            "uint8": windows.astype(np.uint8)}
+
+
+def _layout_test_models():
+    rng = np.random.default_rng(1212)
+    planted = ssph.planted_models(leak=0.0)
+    cases = ([(f"{n}-state", random_model_with_zeros(rng, n, 21))
+              for n in (1, 2, 3, 4)]
+             + [(f"planted-{label}", planted[label]) for label in "HEC"])
+    return [pytest.param(name, model, id=name) for name, model in cases]
+
+
+@pytest.fixture(scope="module")
+def planted_windows():
+    """Every 11-residue window of three leak-0 planted chains, joined: an
+    uncopied ``sliding_window_view`` of 2450 rows."""
+    chains = ssph.planted_dataset(3, 820, seed=21, leak=0.0)
+    symbols = ssph.encode_residues("".join(c.sequence for c in chains))
+    return sliding_window_view(symbols, 11)
+
+
+@pytest.mark.parametrize("name, model", _layout_test_models())
+def test_batched_scores_do_not_depend_on_the_window_layout(
+        planted_windows, name, model):
+    assert len(planted_windows) >= 2416
+    assert not planted_windows.flags.c_contiguous
+    expected = np.array([viterbi(model, row).log_prob
+                         for row in planted_windows])
+    if name.startswith("planted"):  # leak 0: some windows are impossible
+        assert np.isneginf(expected).any() and np.isfinite(expected).any()
+    for layout, windows in window_layouts(planted_windows).items():
+        scores = batched_scores(model, windows)
+        assert scores.tobytes() == expected.tobytes(), layout
 
 
 # ------------------------------------------------------------------ properties

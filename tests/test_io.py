@@ -308,6 +308,111 @@ def test_parse_models_accepts_trailing_blank_lines():
     assert models_equal(parse_models(text), random_model_set(8))
 
 
+def planted_lines():
+    """The planted model file as lines: 2 states, so model H is lines 3-9
+    (initial on line 5, transitions on 6-7, emissions on 8-9)."""
+    return format_models(planted_models(leak=0.1)).splitlines()
+
+
+def emission_with_first(value):
+    fields = planted_lines()[7].split(" ")
+    return " ".join(["emission", value] + fields[2:])
+
+
+# Each case: {0-based line index: replacement, appended at the end of the
+# file, or None to cut the file there}, and the exact message. Several errors in one file report the one
+# on the earliest line.
+MODEL_ERRORS = [
+    ({0: "SSPH-HMM v2"}, "line 1: expected 'SSPH-HMM v1', got 'SSPH-HMM v2'"),
+    ({1: "alphabet ACDEFG"},
+     f"line 2: expected 'alphabet {ALPHABET}', got 'alphabet ACDEFG'"),
+    ({9: "model C"}, "line 10: expected 'model E', got 'model C'"),
+    ({3: "states two"}, "line 4: expected 'states <k>', got 'states two'"),
+    ({3: "states 0"}, "line 4: states must be >= 1"),
+    ({5: "emission 0.85 0.15"},
+     "line 6: expected 'transition' row, got 'emission 0.85 0.15'"),
+    ({4: "initial 0.6 0.4 0.0"},
+     "line 5: expected 2 values on 'initial' row, got 3"),
+    ({6: "transition 0.3 x"}, "line 7: 'transition' row has a non-numeric field"),
+    ({4: "initial 1.5 -0.5"}, "line 5: 'initial' row has entries outside [0, 1]"),
+    ({7: emission_with_first("nan")},
+     "line 8: 'emission' row has entries outside [0, 1]"),
+    ({5: "transition 0.5 0.15"}, "line 6: 'transition' row sums to 0.65, not 1"),
+    ({8: emission_with_first("0.5")},
+     "line 9: 'emission' row sums to 1.337738095238095, not 1"),
+    ({7: None}, "line 8: unexpected end of file"),
+    ({9: None}, "line 10: unexpected end of file"),
+    ({23: "", 24: "junk"}, "line 25: trailing content after model blocks"),
+    # The earliest line wins across the row checks, whatever their kind.
+    ({4: "initial 0.5 0.4", 7: "emision 1.0"},
+     "line 5: 'initial' row sums to 0.9, not 1"),
+    ({5: "transition 0.85 x", 8: emission_with_first("nan")},
+     "line 6: 'transition' row has a non-numeric field"),
+    ({5: "transition 0.5 0.15", 7: emission_with_first("2.0")},
+     "line 6: 'transition' row sums to 0.65, not 1"),
+    ({7: emission_with_first("2.0"), 8: "emission 1.0"},
+     "line 8: 'emission' row has entries outside [0, 1]"),
+    ({6: "transition 0.3 0.3", 8: None},
+     "line 7: 'transition' row sums to 0.6, not 1"),
+    ({8: emission_with_first("0.5"), 10: "states x"},
+     "line 9: 'emission' row sums to 1.337738095238095, not 1"),
+]
+
+
+@pytest.mark.parametrize("edits, message", MODEL_ERRORS)
+def test_parse_models_error_messages(edits, message):
+    lines = planted_lines()
+    for index, line in sorted(edits.items()):
+        if line is None:
+            del lines[index:]
+        elif index == len(lines):
+            lines.append(line)
+        else:
+            lines[index] = line
+    with pytest.raises(ModelFormatError) as excinfo:
+        parse_models("\n".join(lines) + "\n")
+    assert str(excinfo.value) == message
+
+
+@given(st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=300, deadline=None)
+def test_property_model_values_parse_to_the_bits_of_float(x):
+    lines = planted_lines()
+    lines[4] = f"initial {x!r} {1.0 - x!r}"
+    initial = parse_models("\n".join(lines) + "\n")["H"].initial
+    assert initial.tobytes() == \
+        np.array([float(repr(x)), float(repr(1.0 - x))]).tobytes()
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=21,
+                max_size=21).filter(lambda v: sum(v) > 0),
+       st.integers(min_value=0, max_value=1))
+@settings(max_examples=200, deadline=None)
+def test_property_emission_rows_parse_to_the_bits_of_float(weights, row):
+    values = [float(v) for v in np.array(weights) / sum(weights)]
+    lines = planted_lines()
+    lines[7 + row] = "emission " + " ".join(repr(v) for v in values)
+    emission = parse_models("\n".join(lines) + "\n")["H"].emission
+    assert emission[row].tobytes() == \
+        np.array([float(repr(v)) for v in values]).tobytes()
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=21,
+                max_size=21),
+       st.integers(min_value=0, max_value=1))
+@settings(max_examples=200, deadline=None)
+def test_property_row_sum_message_prints_the_sum_of_the_row(values, row):
+    total = float(np.array(values).sum())
+    if abs(total - 1.0) <= 1e-9:
+        return
+    lines = planted_lines()
+    lines[7 + row] = "emission " + " ".join(repr(v) for v in values)
+    with pytest.raises(ModelFormatError) as excinfo:
+        parse_models("\n".join(lines) + "\n")
+    assert str(excinfo.value) == \
+        f"line {8 + row}: 'emission' row sums to {total!r}, not 1"
+
+
 @given(st.integers(min_value=0, max_value=10_000),
        st.integers(min_value=1, max_value=4))
 @settings(max_examples=40, deadline=None)
