@@ -3,9 +3,14 @@ forward/backward likelihoods and Baum-Welch re-estimation with the scaled
 recursions of Rabiner 1989 (Proc. IEEE 77(2), section V.A) in probability
 space.
 
-The recursions fill arrays their caller owns. A likelihood call allocates
-them for its one sequence; a Baum-Welch call allocates one set per
-equal-length batch of its training data and every EM iteration reuses it."""
+Window scores come from one max-product pass over every fixed-width window
+of a symbol run, which gathers each symbol's emissions once and gives the
+same bits as :func:`viterbi` on each window.
+
+The scaled recursions fill arrays their caller owns. A likelihood call
+allocates them for its one sequence; a Baum-Welch call allocates one set per
+equal-length batch of its training data and every EM iteration reuses it.
+The E-step after the last re-estimation runs the forward pass only."""
 
 from __future__ import annotations
 
@@ -65,10 +70,25 @@ class Hmm:
         _check_stochastic(initial, "initial")
         _check_stochastic(transition, "transition")
         _check_stochastic(emission, "emission")
+        self._freeze(initial, transition, emission)
+
+    def _freeze(self, initial: np.ndarray, transition: np.ndarray,
+                emission: np.ndarray) -> None:
         for name, arr in (("initial", initial), ("transition", transition),
                           ("emission", emission)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _from_checked(cls, initial: np.ndarray, transition: np.ndarray,
+                      emission: np.ndarray) -> Hmm:
+        """A model of float arrays whose shapes and rows the caller has
+        already checked as :meth:`__post_init__` does. They are marked
+        read-only, not copied, so the caller must hold no other reference
+        through which they can change."""
+        model = object.__new__(cls)
+        model._freeze(initial, transition, emission)
+        return model
 
     @property
     def num_states(self) -> int:
@@ -176,33 +196,33 @@ def viterbi(model: Hmm, obs: Sequence[int]) -> ViterbiResult:
     return ViterbiResult(float(delta[path[-1]]), path)
 
 
-def _max_product_scores(log_init: np.ndarray, log_trans: np.ndarray,
-                        log_emit: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """Best-path log score of each row of an integer (batch, length)
-    observation array: the max-product recursion of :func:`viterbi` without
-    the backtrace. It makes the same additions and ``max`` returns one of its
-    inputs, so every score equals ``viterbi(...).log_prob`` bit for bit.
+def _window_scores(log_init: np.ndarray, log_trans: np.ndarray,
+                   log_emit: np.ndarray, symbols: np.ndarray,
+                   width: int) -> np.ndarray:
+    """Best-path log score of every ``width``-symbol window of the 1-D
+    integer run ``symbols``: entry ``s`` scores ``symbols[s:s + width]``.
+    It is the max-product recursion of :func:`viterbi` without the
+    backtrace, run on all windows at once. It makes the same additions and
+    ``max`` returns one of its inputs, so every score equals
+    ``viterbi(...).log_prob`` bit for bit.
 
-    ``delta`` holds one contiguous (batch,) vector per state, and each step
-    takes each target state's maximum over its predecessors as
-    ``np.maximum`` over those vectors. Each state's emissions are gathered
-    with the 1-D ``np.take`` from one contiguous (length, batch) copy of the
-    symbols. The 2-D gather ``log_emit[:, symbols]`` would return a
-    batch-major array, strides ``(8, 8 * states)``, whose strided rows slow
-    every addition and ``np.maximum`` of the step; ``np.take(..., axis=1)``
-    avoids that but is slower than the 1-D form at one state."""
-    steps = np.ascontiguousarray(obs.T)  # (length, batch)
+    Each state's emissions are gathered once per symbol, and step ``t`` of
+    every window adds the contiguous slice ``emit[j][t:t + m]`` of them, so
+    no window array is built. ``delta`` holds one contiguous (m,) vector per
+    state, and each step takes each target state's maximum over its
+    predecessors as ``np.maximum`` over those vectors."""
+    m = len(symbols) - width + 1
     states = range(len(log_init))
-    delta = [log_init[j] + log_emit[j].take(steps[0]) for j in states]
-    for symbols in steps[1:]:
+    emit = [log_emit[j].take(symbols) for j in states]
+    delta = [log_init[j] + emit[j][:m] for j in states]
+    for t in range(1, width):
         new = []
         for j in states:
             best = delta[0] + log_trans[0, j]
             for i in states[1:]:
                 np.maximum(best, delta[i] + log_trans[i, j], out=best)
-            row = log_emit[j].take(symbols)
-            row += best
-            new.append(row)
+            best += emit[j][t:t + m]
+            new.append(best)
         delta = new
     return np.max(delta, axis=0)
 
@@ -210,7 +230,7 @@ def _max_product_scores(log_init: np.ndarray, log_trans: np.ndarray,
 def sequence_score(model: Hmm, obs: Sequence[int]) -> float:
     """Log-probability of the single best state path (the window score)."""
     o = _check_obs(model, obs)
-    return float(_max_product_scores(*_log_params(model), o[None, :])[0])
+    return float(_window_scores(*_log_params(model), o, len(o))[0])
 
 
 def _scaled_forward(model: Hmm, emit: np.ndarray, alpha: np.ndarray,
@@ -292,11 +312,14 @@ def backward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
 
 
 class _EStep:
-    """The E-step of one :func:`baum_welch` call. The working arrays of each
-    equal-length batch are allocated once, here, and every call refills them
-    in place; an iteration allocates only per-step (states, batch) vectors.
-    Each ``baum_welch`` call builds its own, so concurrent calls share
-    nothing."""
+    """The E-step of one :func:`baum_welch` call, in two passes:
+    :meth:`forward` gives the log-likelihood of the training data and
+    :meth:`counts` the expected counts from the lattices it left, so a
+    caller that needs only the likelihood skips the backward pass. The
+    working arrays of each equal-length batch are allocated once, here, and
+    every call refills them in place; an iteration allocates only per-step
+    (states, batch) vectors. Each ``baum_welch`` call builds its own, so
+    concurrent calls share nothing."""
 
     def __init__(self, num_states: int, batches: list[np.ndarray]) -> None:
         self._work = []
@@ -309,29 +332,36 @@ class _EStep:
                 np.empty(lattice),            # alpha
                 np.empty(lattice),            # beta, then the posteriors
                 np.empty((num_states, length - 1, batch)),  # e * beta / c
-                np.empty((length, batch)),    # scale factors, then their logs
+                np.empty((length, batch)),    # scale factors
+                np.empty((length, batch)),    # their logs
             ))
 
-    def __call__(self, model: Hmm
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Expected start/transition/emission counts of the training data
-        under ``model``, and its total log-likelihood. Raises ``ValueError``
-        if a sequence has probability 0, which includes a step whose total
-        mass underflows double precision."""
-        n, m = model.num_states, model.alphabet_size
-        start = np.zeros(n)
-        trans = np.zeros((n, n))
-        emit = np.zeros((n, m))
+    def forward(self, model: Hmm) -> float:
+        """Total log-likelihood of the training data under ``model``.
+        Raises ``ValueError`` if a sequence has probability 0, which
+        includes a step whose total mass underflows double precision."""
         total_ll = 0.0
-        for steps, obs_emit, alpha, beta, nxt, scale in self._work:
+        for steps, obs_emit, alpha, _, _, scale, log_scale in self._work:
             # Symbols were checked when the batches were built.
             np.take(model.emission, steps, axis=1, out=obs_emit, mode="clip")
             _scaled_forward(model, obs_emit, alpha, scale)
             if not np.all(scale > 0.0):
                 raise ValueError(
                     "a training sequence has zero probability under the model")
+            total_ll += float(np.log(scale, out=log_scale).sum())
+        return total_ll
+
+    def counts(self, model: Hmm
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Expected start/transition/emission counts of the training data
+        under ``model``, which the last :meth:`forward` call must have
+        been given."""
+        n, m = model.num_states, model.alphabet_size
+        start = np.zeros(n)
+        trans = np.zeros((n, n))
+        emit = np.zeros((n, m))
+        for steps, obs_emit, alpha, beta, nxt, scale, _ in self._work:
             _scaled_backward(model, obs_emit, alpha, scale, beta, nxt)
-            total_ll += float(np.log(scale, out=scale).sum())
             gamma = np.multiply(alpha, beta, out=beta)  # state posteriors
             start += gamma[:, 0].sum(axis=1)
             symbols = steps.reshape(-1)
@@ -341,7 +371,13 @@ class _EStep:
             if steps.shape[0] > 1:
                 trans += model.transition * (alpha[:, :-1].reshape(n, -1)
                                              @ nxt.reshape(n, -1).T)
-        return start, trans, emit, total_ll
+        return start, trans, emit
+
+    def __call__(self, model: Hmm
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Both passes: the expected counts and the log-likelihood."""
+        total_ll = self.forward(model)
+        return (*self.counts(model), total_ll)
 
 
 def _normalized(counts: np.ndarray, previous: np.ndarray) -> np.ndarray:
@@ -397,12 +433,14 @@ def baum_welch(model: Hmm, training: Iterable[Sequence[int]],
     if max_iters == 0:
         return model, trace
 
-    expected_counts = _EStep(model.num_states, batches)
+    e_step = _EStep(model.num_states, batches)
     current = model
-    start, trans, emit, ll_prev = expected_counts(current)
+    ll_prev = e_step.forward(current)
     for _ in range(max_iters):
-        current = _reestimate(current, start, trans, emit, pseudocount)
-        start, trans, emit, ll = expected_counts(current)
+        # The counts of the model after the last re-estimation are never
+        # used, so its E-step runs the forward pass only.
+        current = _reestimate(current, *e_step.counts(current), pseudocount)
+        ll = e_step.forward(current)
         trace.append(ll)
         if ll - ll_prev < tol:
             break

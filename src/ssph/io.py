@@ -288,8 +288,8 @@ def parse_models(text: str) -> ClassModelSet:
             raise ModelFormatError(f"line {pos}: states must be >= 1")
         initial, transition, emission = _prob_rows(lines, pos, k)
         pos += 2 * k + 1
-        models[tag] = Hmm(initial=initial, transition=transition,
-                          emission=emission)
+        # _prob_rows checked every row as the Hmm constructor would.
+        models[tag] = Hmm._from_checked(initial, transition, emission)
     for line_no, line in enumerate(lines[pos:], start=pos + 1):
         if line.strip():
             raise ModelFormatError(

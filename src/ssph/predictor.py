@@ -3,10 +3,11 @@
 Each residue is classified by scoring the window centered on it under three
 class-specific HMMs (helix, strand, coil); the class whose model assigns the
 highest Viterbi path probability wins. :func:`predict_structures` labels
-many sequences at once: it joins them into one residue string and scores its
-windows in slices of :data:`CHUNK_WINDOWS` center positions, one max-product
-pass per class model and slice, so memory is a few bytes per residue plus one
-slice. :func:`predict_structure` is its one-sequence form.
+many sequences at once: it joins them into one residue string and scores
+every window of it in slices of :data:`CHUNK_WINDOWS` center positions, one
+max-product pass per class model and slice over the slice's residues, so
+memory is a few bytes per residue plus one slice. :func:`predict_structure`
+is its one-sequence form.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from itertools import accumulate
 from typing import Iterable, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .dssp import CLASS_ORDER
 from .errors import EmptySequence
-from .hmm import Hmm, _log_params, _max_product_scores
+from .hmm import Hmm, _log_params, _window_scores
 from .hmm import sequence_score  # noqa: F401 (perfbench traces it here)
 
 # Residue alphabet: the 20 canonical amino acids plus 'X' for anything else.
@@ -32,10 +32,10 @@ TIE_BREAK = "HCE"
 
 # Window centers per slice of the joined residues, so at most this many
 # windows per kernel call. Large enough that numpy's per-call cost is spread
-# over many windows. At half-width 5 each slice's scoring arrays take about
-# 250 to 300 bytes per window (2 to 4 states): the selected windows and the
-# kernel's step-major copy of them, 88 bytes each, plus a few float vectors
-# per state.
+# over many windows. At half-width 5 a slice's scoring arrays take about 90
+# to 130 bytes per window (1 to 4 states; tracemalloc peak over one full
+# slice): the slice's symbols and a few float vectors per state, each 8
+# bytes per window.
 CHUNK_WINDOWS = 8192
 
 
@@ -105,9 +105,10 @@ def predict_structures(models: ClassModelSet, sequences: Iterable[str],
 
     The folded sequences are joined into one residue string and its window
     centers are walked in slices of :data:`CHUNK_WINDOWS` positions, one
-    batched pass per class model and slice; a window that spans two
-    sequences is never scored. Memory is a few bytes per input residue plus
-    one slice's scoring arrays.
+    pass per class model over every window of a slice; a window that spans
+    two sequences, or is centered in a margin, is scored and its label
+    dropped, and a slice with no centered window is skipped. Memory is a few
+    bytes per input residue plus one slice's scoring arrays.
     """
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
@@ -129,11 +130,14 @@ def predict_structures(models: ClassModelSet, sequences: Iterable[str],
     for start in range(half_width, last, CHUNK_WINDOWS):
         stop = min(start + CHUNK_WINDOWS, last)
         keep = centered[start:stop]
-        windows = sliding_window_view(
-            encode_residues(residues[start - half_width:stop + half_width]),
-            2 * half_width + 1)[keep]
-        scores = [_max_product_scores(*p, windows) for p in params]
-        labels[start:stop][keep] = _TIE_BREAK_BYTES[np.argmax(scores, axis=0)]
+        if not keep.any():
+            continue
+        symbols = encode_residues(residues[start - half_width:
+                                           stop + half_width])
+        scores = [_window_scores(*p, symbols, 2 * half_width + 1)
+                  for p in params]
+        labels[start:stop][keep] = \
+            _TIE_BREAK_BYTES[np.argmax(scores, axis=0)[keep]]
     ends = accumulate(map(len, folded))
     return [labels[end - len(f):end].tobytes().decode("ascii")
             for f, end in zip(folded, ends)]

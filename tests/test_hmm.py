@@ -23,8 +23,8 @@ from ssph import (Hmm, backward_log_likelihood, baum_welch,
                   forward_log_likelihood, new_random_hmm, sequence_score,
                   viterbi)
 from ssph.errors import EmptyObservation, NoTrainingData, SymbolOutOfRange
-from ssph.hmm import (_EStep, _length_batches, _log_params,
-                      _max_product_scores, _reestimate)
+from ssph.hmm import (_EStep, _length_batches, _log_params, _reestimate,
+                      _window_scores)
 
 
 def expected_counts(model, batches):
@@ -794,7 +794,7 @@ def test_sequence_score_invariant_under_state_relabeling():
             pytest.approx(sequence_score(relabeled, obs), rel=1e-10)
 
 
-# ----------------------------------------------------- batched max-product
+# ------------------------------------------------------ window max-product
 
 def random_model_with_zeros(rng, num_states, alphabet_size):
     """Random model with about a third of its entries exactly 0 (log -inf);
@@ -811,66 +811,77 @@ def random_model_with_zeros(rng, num_states, alphabet_size):
                emission=rows((num_states, alphabet_size)))
 
 
-def batched_scores(model, obs):
-    return _max_product_scores(*_log_params(model), np.asarray(obs))
+def batched_scores(model, symbols, width):
+    """The score of every ``width``-symbol window of the 1-D run
+    ``symbols``, as the predictor computes them."""
+    return _window_scores(*_log_params(model), np.asarray(symbols), width)
+
+
+def viterbi_windows(model, symbols, width):
+    """``viterbi(...).log_prob`` of every ``width``-symbol window of
+    ``symbols``, one window at a time."""
+    return np.array([viterbi(model, row).log_prob
+                     for row in sliding_window_view(symbols, width)])
 
 
 @pytest.mark.parametrize("batch,length", [(1, 1), (1, 9), (6, 1), (6, 9)])
 def test_batched_scores_equal_viterbi_bit_for_bit(batch, length):
+    # ``batch`` windows of ``length`` symbols: a run of batch + length - 1.
     rng = np.random.default_rng(100 * batch + length)
     for num_states in (1, 2, 4):
         for make in (random_model, random_model_with_zeros):
             model = make(rng, num_states, 3)
-            obs = rng.integers(0, 3, size=(batch, length))
-            scores = batched_scores(model, obs)
+            symbols = rng.integers(0, 3, size=batch + length - 1)
+            scores = batched_scores(model, symbols, length)
             assert scores.shape == (batch,)
-            for row, score in zip(obs, scores):
-                assert score == viterbi(model, row).log_prob
+            assert scores.tobytes() == \
+                viterbi_windows(model, symbols, length).tobytes()
 
 
 def test_batched_scores_keep_impossible_rows_at_minus_inf():
     model = Hmm(initial=np.array([1.0]), transition=np.array([[1.0]]),
                 emission=np.array([[1.0, 0.0]]))
-    assert batched_scores(model, [[0, 1, 0], [0, 0, 0]]).tolist() == \
-        [-np.inf, 0.0]
+    assert batched_scores(model, [0, 1, 0, 0, 0], 3).tolist() == \
+        [-np.inf, -np.inf, 0.0]
 
 
 def test_batched_scores_agree_with_the_oracle_on_small_cases():
     for model, obs in small_cases(150, seed=909):
         best, _ = oracle.best_path_probability(model, obs)
-        score = batched_scores(model, [obs])[0]
+        score = batched_scores(model, obs, len(obs))[0]
         assert math.exp(score) == pytest.approx(best, rel=1e-10)
 
 
 @st.composite
-def model_and_batch(draw):
+def model_and_run(draw):
     n = draw(st.integers(min_value=1, max_value=4))
     m = draw(st.integers(min_value=1, max_value=5))
-    batch = draw(st.integers(min_value=1, max_value=6))
-    length = draw(st.integers(min_value=1, max_value=12))
+    length = draw(st.integers(min_value=1, max_value=30))
     zeros = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(min_value=0,
                                                  max_value=2**32 - 1)))
     model = (random_model_with_zeros if zeros else random_model)(rng, n, m)
-    return model, rng.integers(0, m, size=(batch, length))
+    return model, rng.integers(0, m, size=length)
 
 
-@given(model_and_batch())
+@given(model_and_run())
 @settings(max_examples=150, deadline=None)
 def test_property_batched_scores_equal_viterbi(case):
-    model, obs = case
-    scores = batched_scores(model, obs)
-    assert [float(s) for s in scores] == \
-        [viterbi(model, row).log_prob for row in obs]
+    model, symbols = case
+    for width in range(1, len(symbols) + 1):
+        scores = batched_scores(model, symbols, width)
+        assert scores.shape == (len(symbols) - width + 1,)
+        assert scores.tobytes() == \
+            viterbi_windows(model, symbols, width).tobytes()
 
 
-def window_layouts(windows):
-    """The same (batch, length) symbols as the uncopied view ``windows`` and
-    as C-order, Fortran-order, int32 and uint8 copies."""
-    return {"view": windows, "c": np.array(windows),
-            "fortran": np.asfortranarray(windows),
-            "int32": windows.astype(np.int32),
-            "uint8": windows.astype(np.uint8)}
+def symbol_layouts(symbols):
+    """The same 1-D symbols as ``intp``, ``int32`` and ``uint8`` arrays and
+    as a strided (non-contiguous) view."""
+    strided = np.repeat(symbols, 3)[::3]
+    assert not strided.flags.c_contiguous
+    return {"intp": symbols.astype(np.intp), "int32": symbols.astype(np.int32),
+            "uint8": symbols.astype(np.uint8), "strided": strided}
 
 
 def _layout_test_models():
@@ -883,25 +894,22 @@ def _layout_test_models():
 
 
 @pytest.fixture(scope="module")
-def planted_windows():
-    """Every 11-residue window of three leak-0 planted chains, joined: an
-    uncopied ``sliding_window_view`` of 2450 rows."""
+def planted_symbols():
+    """Three leak-0 planted chains, joined and encoded: 2460 symbols, so
+    2450 windows of 11."""
     chains = ssph.planted_dataset(3, 820, seed=21, leak=0.0)
-    symbols = ssph.encode_residues("".join(c.sequence for c in chains))
-    return sliding_window_view(symbols, 11)
+    return ssph.encode_residues("".join(c.sequence for c in chains))
 
 
 @pytest.mark.parametrize("name, model", _layout_test_models())
 def test_batched_scores_do_not_depend_on_the_window_layout(
-        planted_windows, name, model):
-    assert len(planted_windows) >= 2416
-    assert not planted_windows.flags.c_contiguous
-    expected = np.array([viterbi(model, row).log_prob
-                         for row in planted_windows])
+        planted_symbols, name, model):
+    assert len(planted_symbols) - 10 >= 2416
+    expected = viterbi_windows(model, planted_symbols, 11)
     if name.startswith("planted"):  # leak 0: some windows are impossible
         assert np.isneginf(expected).any() and np.isfinite(expected).any()
-    for layout, windows in window_layouts(planted_windows).items():
-        scores = batched_scores(model, windows)
+    for layout, symbols in symbol_layouts(planted_symbols).items():
+        scores = batched_scores(model, symbols, 11)
         assert scores.tobytes() == expected.tobytes(), layout
 
 

@@ -488,8 +488,33 @@ MODEL_FIELDS = ["0.5", "0", "1", "1.5", "-0.0", "nan", "inf", "1e-300", "x",
                 ""]
 
 
+# Faults of one probability row: a field replaced by a value out of range,
+# by one that moves the row sum off 1 or by a non-numeric one; a field
+# dropped or added; the keyword replaced.
+ROW_FAULTS = ["1.5", "-0.5", "nan", "0.25", "0", "x", "", "drop", "extra",
+              "keyword"]
+
+
+def fault_row(line, field, fault):
+    fields = line.split(" ")
+    if fault == "drop":
+        del fields[-1]
+    elif fault == "extra":
+        fields.append("0")
+    elif fault == "keyword":
+        fields[0] = "row"
+    else:
+        fields[1 + field % (len(fields) - 1)] = fault
+    return " ".join(fields)
+
+
 @given(st.integers(min_value=0, max_value=1000),
        st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2),
+       st.lists(st.tuples(st.integers(min_value=0, max_value=30),
+                          st.integers(min_value=0, max_value=30),
+                          st.sampled_from(ROW_FAULTS)),
+                max_size=2),
        st.lists(st.tuples(st.sampled_from(["delete", "copy", "replace",
                                            "field", "truncate", "append"]),
                           st.integers(min_value=0, max_value=200),
@@ -497,9 +522,15 @@ MODEL_FIELDS = ["0.5", "0", "1", "1.5", "-0.0", "nan", "inf", "1e-300", "x",
                           st.sampled_from(MODEL_LINES + MODEL_FIELDS)),
                 max_size=3))
 @settings(max_examples=200, deadline=None)
-def test_property_model_parser_matches_the_reference(seed, num_states,
-                                                     mutations):
+def test_property_model_parser_matches_the_reference(seed, num_states, block,
+                                                     row_faults, mutations):
     lines = format_models(random_model_set(seed, num_states)).splitlines()
+    # Up to two faulty rows in one model block, so that the error order
+    # between rows of a block is compared too; then edits anywhere.
+    first_row = 2 + block * (3 + 2 * num_states) + 2
+    for row, field, fault in row_faults:
+        i = first_row + row % (1 + 2 * num_states)
+        lines[i] = fault_row(lines[i], field, fault)
     for kind, i, j, token in mutations:
         i %= len(lines) + 1
         if kind == "append" or i == len(lines):

@@ -14,7 +14,7 @@ from ssph import (ALPHABET, ClassModelSet, encode_residues, fold_residues,
                   new_random_hmm, planted_dataset, planted_models,
                   predict_structure, predict_structures, predictor, viterbi)
 from ssph.errors import EmptySequence
-from ssph.hmm import _log_params, _max_product_scores
+from ssph.hmm import _log_params, _window_scores
 
 FIXTURE_SEQUENCE = "ACDEIKLMRSTV"
 # Expected labels for the stub models with half_width 2, frozen from the
@@ -106,8 +106,8 @@ def test_window_scores_match_the_oracle():
     window = "ACDEF"  # drawn from the helix model's residue group
     encoded = encode_residues(window)
     for label in "HEC":
-        score = _max_product_scores(*_log_params(models[label]),
-                                    encoded[None])[0]
+        score = _window_scores(*_log_params(models[label]), encoded,
+                               len(encoded))[0]
         best, _ = oracle.best_path_probability(models[label], encoded)
         assert math.exp(score) == pytest.approx(best, rel=1e-10)
     assert predict_structure(models, window, half_width=2) == "CCHCC"
@@ -298,6 +298,68 @@ def test_predict_structures_matches_the_per_window_loop_across_records(
             == [reference_predict(models, fold_residues(seq), half_width,
                                   boundary_label)
                 for seq in seqs]
+
+
+def counting_kernel(monkeypatch):
+    """Replace the predictor's window kernel with one that records the
+    number of windows of each call."""
+    calls = []
+
+    def kernel(log_init, log_trans, log_emit, symbols, width):
+        calls.append(len(symbols) - width + 1)
+        return _window_scores(log_init, log_trans, log_emit, symbols, width)
+
+    monkeypatch.setattr(predictor, "_window_scores", kernel)
+    return calls
+
+
+@pytest.mark.parametrize("half_width", [1, 2, 5])
+def test_predict_structures_of_only_short_records_scores_nothing(
+        monkeypatch, half_width):
+    # Every record is shorter than one window, so no slice has a centered
+    # window and the kernel never runs; every residue gets the boundary
+    # label.
+    calls = counting_kernel(monkeypatch)
+    rng = np.random.default_rng(50 + half_width)
+    width = 2 * half_width + 1
+    seqs = ["".join(ALPHABET[i] for i in rng.integers(0, 21, length))
+            for length in [1, width - 1] * 40 + list(range(1, width))]
+    for models in regression_model_sets():
+        for boundary_label in "HEC":
+            assert predict_structures(models, seqs, half_width,
+                                      boundary_label) \
+                == [boundary_label * len(seq) for seq in seqs]
+    assert calls == []
+
+
+@pytest.mark.parametrize("chunk_windows", [1, 3, 8, 13])
+def test_predict_structures_mixes_short_and_long_records_across_chunks(
+        monkeypatch, chunk_windows):
+    # Runs of short records several chunks long, so whole slices have no
+    # centered window, next to long records whose windows span a chunk
+    # boundary; every slice the kernel scores has at least one window kept.
+    monkeypatch.setattr(predictor, "CHUNK_WINDOWS", chunk_windows)
+    calls = counting_kernel(monkeypatch)
+    half_width = 2
+    width = 2 * half_width + 1
+    rng = np.random.default_rng(60 + chunk_windows)
+    lengths = [4] * 12 + [width + 9] + [1, 4] * 6 + [3 * width] + [4] * 5 \
+        + [width] + [2] * 9 + [width + 1]
+    seqs = ["".join(ALPHABET[i] for i in rng.integers(0, 21, length))
+            for length in lengths]
+    for models in regression_model_sets():
+        assert predict_structures(models, seqs, half_width) \
+            == [reference_predict(models, seq, half_width, "C")
+                for seq in seqs]
+    offsets = [np.arange(length) for length in lengths]
+    centered = np.concatenate([(half_width <= p) & (p < len(p) - half_width)
+                               for p in offsets])
+    starts = range(half_width, len(centered) - half_width, chunk_windows)
+    scored = [start for start in starts
+              if centered[start:start + chunk_windows].any()]
+    assert len(scored) < len(starts)
+    assert len(calls) == 4 * 3 * len(scored)
+    assert max(calls) <= chunk_windows
 
 
 def test_predict_structures_memory_grows_by_a_few_bytes_per_residue():
