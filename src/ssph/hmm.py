@@ -31,10 +31,9 @@ LikelihoodTrace = list[float]
 
 
 def _check_stochastic(rows: np.ndarray, name: str) -> None:
-    if not np.all((rows >= 0.0) & (rows <= 1.0)):  # also rejects NaN
+    if not (rows.min() >= 0.0 and rows.max() <= 1.0):  # NaN fails both
         raise ValueError(f"{name} has entries outside [0, 1]")
-    sums = rows.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
+    if np.abs(rows.sum(axis=-1) - 1.0).max() > ROW_SUM_TOL:
         raise ValueError(f"{name} rows must sum to 1 within {ROW_SUM_TOL}")
 
 
@@ -48,8 +47,10 @@ class Hmm:
     transition : (num_states, num_states) row-stochastic transition matrix.
     emission : (num_states, alphabet_size) row-stochastic emission matrix.
 
-    All probability rows must sum to 1 within 1e-9. Instances are immutable
-    (the arrays are marked read-only) and safe to share between threads.
+    All probability rows must sum to 1 within 1e-9. The constructor is the
+    only way a model is built: it copies the arrays, checks their shapes and
+    rows, and marks the copies read-only, so instances are immutable and
+    safe to share between threads.
     """
 
     initial: np.ndarray
@@ -70,25 +71,10 @@ class Hmm:
         _check_stochastic(initial, "initial")
         _check_stochastic(transition, "transition")
         _check_stochastic(emission, "emission")
-        self._freeze(initial, transition, emission)
-
-    def _freeze(self, initial: np.ndarray, transition: np.ndarray,
-                emission: np.ndarray) -> None:
         for name, arr in (("initial", initial), ("transition", transition),
                           ("emission", emission)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    @classmethod
-    def _from_checked(cls, initial: np.ndarray, transition: np.ndarray,
-                      emission: np.ndarray) -> Hmm:
-        """A model of float arrays whose shapes and rows the caller has
-        already checked as :meth:`__post_init__` does. They are marked
-        read-only, not copied, so the caller must hold no other reference
-        through which they can change."""
-        model = object.__new__(cls)
-        model._freeze(initial, transition, emission)
-        return model
 
     @property
     def num_states(self) -> int:

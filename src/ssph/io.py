@@ -18,7 +18,9 @@ Model files look like::
     ...
 
 Probabilities are printed with ``repr`` so the underlying binary values
-round-trip exactly. All files are UTF-8 with LF line endings.
+round-trip exactly. A parsed block becomes a model through the checked
+``Hmm`` constructor, and every error names the first offending line. All
+files are UTF-8 with LF line endings.
 
 The labeled dataset format is three lines per record: a ``>id`` header, the
 residue sequence, and a label line (either 8-letter DSSP, which is reduced to
@@ -210,48 +212,35 @@ def _split_row(lines: list[str], index: int, keyword: str,
             f"line {line_no}: '{keyword}' row has a non-numeric field") from None
 
 
-def _check_prob_rows(rows: np.ndarray, keywords: list[str],
-                     line_no: int) -> None:
-    """Raise for the first of ``rows``, which start at line ``line_no``,
-    that has an entry outside [0, 1] or a sum off 1 by more than
-    :data:`ROW_SUM_TOL`."""
-    in_range = ((rows >= 0.0) & (rows <= 1.0)).all(axis=1)  # rejects NaN
-    sums = rows.sum(axis=1)
-    bad = ~in_range | (np.abs(sums - 1.0) > ROW_SUM_TOL)
-    if bad.any():
-        i = int(bad.argmax())
-        row = f"line {line_no + i}: '{keywords[i]}' row"
-        if not in_range[i]:
-            raise ModelFormatError(f"{row} has entries outside [0, 1]")
-        raise ModelFormatError(f"{row} sums to {float(sums[i])!r}, not 1")
+def _read_model(lines: list[str], pos: int, k: int) -> Hmm:
+    """The ``k``-state model whose 'initial' row is ``lines[pos]``.
 
-
-def _prob_rows(lines: list[str], pos: int, k: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The initial, transition and emission rows of a ``k``-state model
-    whose 'initial' row is ``lines[pos]``.
-
-    Each row is split and converted on its own; the range and sum checks run
-    once, on one array per row width. They cover the rows before the first
-    malformed one, and an error there is raised first, so every error names
-    the line that checking row by row would."""
+    Each row is split and converted on its own, and the ``Hmm`` constructor
+    checks the rows of a well-formed block. If a row is malformed or the
+    constructor rejects the rows, the rows read are checked one at a time,
+    in line order, so the error names the first row that checking row by
+    row would; a row sums to the same bits on its own as in the
+    constructor's check."""
     keywords = ["initial"] + ["transition"] * k + ["emission"] * k
     rows: list[list[float]] = []
-    malformed = None
-    for index, keyword in enumerate(keywords, start=pos):
-        width = len(ALPHABET) if keyword == "emission" else k
-        try:
+    try:
+        for index, keyword in enumerate(keywords, start=pos):
+            width = len(ALPHABET) if keyword == "emission" else k
             rows.append(_split_row(lines, index, keyword, width))
-        except ModelFormatError as exc:
-            malformed = exc
-            break
-    square = np.array(rows[:k + 1], dtype=float).reshape(-1, k)
-    emission = np.array(rows[k + 1:], dtype=float).reshape(-1, len(ALPHABET))
-    _check_prob_rows(square, keywords, pos + 1)
-    _check_prob_rows(emission, keywords[k + 1:], pos + k + 2)
-    if malformed is not None:
-        raise malformed
-    return square[0], square[1:], emission
+        return Hmm(initial=rows[0], transition=rows[1:k + 1],
+                   emission=rows[k + 1:])
+    except (ModelFormatError, ValueError):
+        for line_no, (keyword, values) in enumerate(zip(keywords, rows),
+                                                    start=pos + 1):
+            row = np.array(values)
+            if not (row.min() >= 0.0 and row.max() <= 1.0):  # rejects NaN
+                raise ModelFormatError(f"line {line_no}: '{keyword}' row "
+                                       "has entries outside [0, 1]") from None
+            if abs(row.sum() - 1.0) > ROW_SUM_TOL:
+                raise ModelFormatError(
+                    f"line {line_no}: '{keyword}' row sums to "
+                    f"{float(row.sum())!r}, not 1") from None
+        raise
 
 
 def parse_models(text: str) -> ClassModelSet:
@@ -286,10 +275,8 @@ def parse_models(text: str) -> ClassModelSet:
         k = int(fields[1])
         if k < 1:
             raise ModelFormatError(f"line {pos}: states must be >= 1")
-        initial, transition, emission = _prob_rows(lines, pos, k)
+        models[tag] = _read_model(lines, pos, k)
         pos += 2 * k + 1
-        # _prob_rows checked every row as the Hmm constructor would.
-        models[tag] = Hmm._from_checked(initial, transition, emission)
     for line_no, line in enumerate(lines[pos:], start=pos + 1):
         if line.strip():
             raise ModelFormatError(

@@ -138,9 +138,9 @@ def predict_structures(models: ClassModelSet, sequences: Iterable[str],
                   for p in params]
         labels[start:stop][keep] = \
             _TIE_BREAK_BYTES[np.argmax(scores, axis=0)[keep]]
-    ends = accumulate(map(len, folded))
-    return [labels[end - len(f):end].tobytes().decode("ascii")
-            for f, end in zip(folded, ends)]
+    text = labels.tobytes().decode("ascii")
+    return [text[end - len(f):end]
+            for f, end in zip(folded, accumulate(map(len, folded)))]
 
 
 def predict_structure(models: ClassModelSet, sequence: str,

@@ -7,6 +7,8 @@ geometric length distribution. Used by the demos and the recovery tests.
 
 from __future__ import annotations
 
+from itertools import groupby
+
 import numpy as np
 
 from .dssp import CLASS_ORDER
@@ -76,14 +78,9 @@ def sample_labeled_record(models: ClassModelSet, length: int,
             others = [c for c in CLASS_ORDER if c != current]
             current = others[rng.integers(len(others))]
     residues = []
-    start = 0
-    while start < length:
-        end = start
-        while end < length and labels[end] == labels[start]:
-            end += 1
-        run = sample_observations(models[labels[start]], end - start, rng)
-        residues.extend(ALPHABET[s] for s in run)
-        start = end
+    for label, run in groupby(labels):
+        symbols = sample_observations(models[label], len(list(run)), rng)
+        residues.extend(ALPHABET[s] for s in symbols)
     return LabeledRecord(rec_id, "".join(residues), "".join(labels))
 
 

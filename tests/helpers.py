@@ -1,10 +1,15 @@
 """Shared test utilities: random stochastic arrays built straight from numpy
 draws (independent of the package's own model generator) and the stub model
-sets used by the predictor fixtures."""
+sets used by the predictor fixtures, and probability rows that carry faults
+on the edges of the model row check."""
+
+import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ssph import ClassModelSet, Hmm
+from ssph.hmm import ROW_SUM_TOL
 
 
 def random_stochastic(rng, shape):
@@ -57,3 +62,32 @@ def stub_model_set():
     return ClassModelSet({"H": single_state_profile(np.arange(0, 7)),
                           "E": single_state_profile(np.arange(7, 14)),
                           "C": single_state_profile(np.arange(14, 21))})
+
+
+# Entries on the edges of the [0, 1] range check, and row-sum offsets a few
+# ulps either side of the row-sum tolerance.
+EDGE_ENTRIES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 1.5, -0.5,
+                1.0 + 2**-52, -2**-1074]
+SUM_OFFSETS = [sign * ROW_SUM_TOL * (1.0 + rel) for sign in (1.0, -1.0)
+               for rel in (-1e-6, -1e-7, 0.0, 1e-7, 1e-6)]
+
+
+@st.composite
+def faulty_rows(draw, num_rows, width):
+    """A (num_rows, width) float array of stochastic rows, each of which may
+    carry faults: an entry replaced by one of :data:`EDGE_ENTRIES`, and a
+    last entry set so that the row sums to about 1, or 1 plus one of
+    :data:`SUM_OFFSETS`."""
+    weights = st.floats(min_value=0.01, max_value=1.0)
+    rows = np.array(draw(st.lists(st.lists(weights, min_size=width,
+                                           max_size=width),
+                                  min_size=num_rows, max_size=num_rows)))
+    rows /= rows.sum(axis=1, keepdims=True)
+    for row in rows:
+        if draw(st.booleans()):
+            row[draw(st.integers(0, width - 1))] = \
+                draw(st.sampled_from(EDGE_ENTRIES))
+        if draw(st.booleans()):
+            offset = draw(st.sampled_from([0.0] + SUM_OFFSETS))
+            row[-1] = 1.0 + offset - row[:-1].sum()
+    return rows

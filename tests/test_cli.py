@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from helpers import stub_model_set
 import ssph
-from ssph import (format_fasta, format_labeled_dataset, format_label_records,
-                  parse_label_records, planted_dataset, write_models)
+from ssph import (ALPHABET, ClassModelSet, format_fasta,
+                  format_labeled_dataset, format_label_records, format_models,
+                  new_random_hmm, parse_label_records, planted_dataset,
+                  write_models)
 from ssph.cli import build_parser, main
 from ssph.io import FastaRecord
 from ssph.metrics import confusion, format_report_csv
@@ -80,6 +82,21 @@ def test_train_seed_changes_the_model_file(tmp_path, chains):
     a = run_training(tmp_path / "a", chains[:20], seed=4)
     b = run_training(tmp_path / "b", chains[:20], seed=5)
     assert a.read_bytes() != b.read_bytes()
+
+
+def test_train_with_zero_iterations_writes_the_seeded_models(tmp_path,
+                                                            chains, capsys):
+    data = tmp_path / "train.txt"
+    model_path = tmp_path / "models.txt"
+    write_dataset(data, chains)
+    code = main(["train", "--data", str(data), "--out", str(model_path),
+                 "--states", "3", "--iters", "0", "--seed", "7"])
+    assert code == 0
+    assert capsys.readouterr().out == "".join(
+        f"class {label}: no iterations run\n" for label in "HEC")
+    seeded = ClassModelSet({label: new_random_hmm(3, len(ALPHABET), 7 + i)
+                            for i, label in enumerate("HEC")})
+    assert model_path.read_text(encoding="utf-8") == format_models(seeded)
 
 
 def test_train_reports_missing_class(tmp_path, capsys):

@@ -18,12 +18,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 import oracle
 import reference_estep
 import ssph
-from helpers import random_model, random_stochastic, small_cases
+from helpers import faulty_rows, random_model, random_stochastic, small_cases
 from ssph import (Hmm, backward_log_likelihood, baum_welch,
                   forward_log_likelihood, new_random_hmm, sequence_score,
                   viterbi)
 from ssph.errors import EmptyObservation, NoTrainingData, SymbolOutOfRange
-from ssph.hmm import (_EStep, _length_batches, _log_params, _reestimate,
+from ssph.hmm import (ROW_SUM_TOL, _check_stochastic, _EStep,
+                      _length_batches, _log_params, _reestimate,
                       _window_scores)
 
 
@@ -84,6 +85,74 @@ def test_hmm_is_immutable():
         model.initial = np.array([1.0, 0.0])
 
 
+def test_hmm_copies_the_callers_arrays_and_leaves_them_writeable():
+    arrays = (np.array([0.5, 0.5]), np.full((2, 2), 0.5),
+              np.full((2, 3), 1.0 / 3))
+    model = Hmm(*arrays)
+    kept = (model.initial, model.transition, model.emission)
+    for given_array, kept_array in zip(arrays, kept):
+        assert given_array.flags.writeable
+        assert not kept_array.flags.writeable
+        assert not np.shares_memory(given_array, kept_array)
+        assert np.array_equal(given_array, kept_array)
+    arrays[0][0] = 0.9
+    assert model.initial.tolist() == [0.5, 0.5]
+
+
+@pytest.mark.parametrize("initial, emission, message", [
+    (np.full((1, 2), 0.5), np.full((2, 3), 1.0 / 3),
+     r"initial must be a non-empty 1-D vector"),
+    (np.array([0.5, 0.5]), np.full(3, 1.0 / 3),
+     r"emission must have shape \(2, alphabet_size\)"),
+], ids=["2-D initial", "1-D emission"])
+def test_hmm_rejects_initial_and_emission_of_the_wrong_rank(initial, emission,
+                                                            message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Hmm(initial=initial, transition=np.full((2, 2), 0.5),
+            emission=emission)
+
+
+def old_check_stochastic(rows, name):
+    """The row check as written before its min/max form."""
+    if not np.all((rows >= 0.0) & (rows <= 1.0)):  # also rejects NaN
+        raise ValueError(f"{name} has entries outside [0, 1]")
+    sums = rows.sum(axis=-1)
+    if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
+        raise ValueError(f"{name} rows must sum to 1 within {ROW_SUM_TOL}")
+
+
+def check_outcome(check, rows):
+    try:
+        check(rows, "rows")
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("rows", [
+    [math.nan], [math.inf], [-math.inf], [-0.0, 1.0], [1.0 + 2**-52],
+    [-2**-1074, 1.0], [0.5, 0.5 + 0.999999 * ROW_SUM_TOL],
+    [0.5, 0.5 + 1.000001 * ROW_SUM_TOL], [[1.0], [math.nan]],
+    [[0.5, 0.5], [1.5, -0.5]], [[1.0, 0.0], [0.5, 0.5 - 2 * ROW_SUM_TOL]],
+])
+def test_row_check_matches_the_old_formula_on_edge_arrays(rows):
+    rows = np.array(rows)
+    assert check_outcome(_check_stochastic, rows) == \
+        check_outcome(old_check_stochastic, rows)
+
+
+@given(st.integers(min_value=1, max_value=4),
+       st.integers(min_value=1, max_value=21), st.booleans(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_property_row_check_matches_the_old_formula(num_rows, width, flat,
+                                                    data):
+    rows = data.draw(faulty_rows(num_rows, width))
+    if flat:
+        rows = rows[0]
+    assert check_outcome(_check_stochastic, rows) == \
+        check_outcome(old_check_stochastic, rows)
+
+
 def test_new_random_hmm_single_cell_is_all_ones():
     model = new_random_hmm(1, 1, seed=0)
     assert model.initial.tolist() == [1.0]
@@ -132,6 +201,11 @@ def test_viterbi_single_state_uniform_emission():
 def test_viterbi_rejects_empty_observation():
     with pytest.raises(EmptyObservation):
         viterbi(uniform_hmm(2, 4), [])
+
+
+def test_viterbi_rejects_a_2d_observation():
+    with pytest.raises(ValueError, match="^observation sequence must be 1-D$"):
+        viterbi(uniform_hmm(2, 4), [[0, 1], [1, 0]])
 
 
 @pytest.mark.parametrize("obs", [[4], [0, 7], [-1]])

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_io
-from helpers import random_model
-from ssph import (ALPHABET, ClassModelSet, FastaRecord, LabeledRecord,
+from helpers import faulty_rows, random_model
+from ssph import (ALPHABET, ClassModelSet, FastaRecord, Hmm, LabeledRecord,
                   format_fasta, format_label_records, format_labeled_dataset,
                   format_models, parse_fasta, parse_label_records,
                   parse_labeled_dataset, parse_models, planted_models,
@@ -421,6 +421,53 @@ def test_property_model_round_trip(seed, num_states):
     assert models_equal(parse_models(format_models(models)), models)
 
 
+def row_fault(row):
+    """The end of the model reader's message for ``row`` if the ``Hmm``
+    constructor rejects the row on its own, else None."""
+    try:
+        Hmm(initial=[1.0], transition=[[1.0]], emission=[row])
+    except ValueError as exc:
+        if "outside" in str(exc):
+            return "has entries outside [0, 1]"
+        return f"sums to {float(np.sum(row))!r}, not 1"
+    return None
+
+
+@given(st.integers(min_value=0, max_value=1000),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2), st.data())
+@settings(max_examples=300, deadline=None)
+def test_property_model_rows_are_checked_as_the_constructor_checks_them(
+        seed, k, block, data):
+    rows = [*data.draw(faulty_rows(k + 1, k)),
+            *data.draw(faulty_rows(k, len(ALPHABET)))]
+    keywords = ["initial"] + ["transition"] * k + ["emission"] * k
+    lines = format_models(random_model_set(seed, k)).splitlines()
+    first = 2 + block * (3 + 2 * k) + 2  # index of the block's initial row
+    for i, (keyword, row) in enumerate(zip(keywords, rows)):
+        lines[first + i] = keyword + " " + " ".join(map(repr, row.tolist()))
+    text = "\n".join(lines) + "\n"
+    try:
+        Hmm(initial=rows[0], transition=rows[1:k + 1], emission=rows[k + 1:])
+        rejected = False
+    except ValueError:
+        rejected = True
+    faults = [(first + 1 + i, keyword, fault)
+              for i, (keyword, row) in enumerate(zip(keywords, rows))
+              if (fault := row_fault(row))]
+    assert rejected == bool(faults)
+    if rejected:
+        line_no, keyword, fault = faults[0]
+        with pytest.raises(ModelFormatError) as excinfo:
+            parse_models(text)
+        assert str(excinfo.value) == f"line {line_no}: '{keyword}' row {fault}"
+    else:
+        model = parse_models(text)["HEC"[block]]
+        assert model.initial.tobytes() == rows[0].tobytes()
+        assert model.transition.tobytes() == np.array(rows[1:k + 1]).tobytes()
+        assert model.emission.tobytes() == np.array(rows[k + 1:]).tobytes()
+
+
 # ------------------------------------------------- differential: the readers
 # reference_io holds the line-by-line readers these replaced. Each reader
 # must return the same records, or raise the same error type and message,
@@ -503,6 +550,8 @@ def fault_row(line, field, fault):
         fields.append("0")
     elif fault == "keyword":
         fields[0] = "row"
+    elif len(fields) == 1:  # an earlier "drop" took the row's only value
+        fields.append(fault)
     else:
         fields[1 + field % (len(fields) - 1)] = fault
     return " ".join(fields)

@@ -94,6 +94,12 @@ def test_class_windows_skips_incomplete_windows():
     assert all(len(v) == 0 for v in windows.values())
 
 
+def test_class_windows_rejects_a_zero_half_width():
+    rec = LabeledRecord("r", "ACD", "HEH")
+    with pytest.raises(ValueError, match="^half_width must be >= 1$"):
+        class_windows([rec], half_width=0)
+
+
 def test_class_windows_rejects_bad_label():
     rec = LabeledRecord("r", "ACD", "HQH")
     with pytest.raises(ValueError, match="'Q'"):
@@ -272,6 +278,12 @@ def test_sample_observations_deterministic_and_in_range():
     assert a.min() >= 0 and a.max() < 21
     # with no leak every symbol stays in the helix group
     assert np.all(np.isin(a, CLASS_RESIDUE_GROUPS["H"]))
+
+
+def test_sample_observations_rejects_length_zero():
+    with pytest.raises(ValueError, match="^length must be >= 1$"):
+        sample_observations(planted_models()["H"], 0,
+                            np.random.default_rng(0))
 
 
 def test_planted_dataset_shape_and_determinism():
