@@ -3,16 +3,15 @@
 Each residue is classified by scoring the window centered on it under three
 class-specific HMMs (helix, strand, coil); the class whose model assigns the
 highest Viterbi path probability wins. :func:`predict_structures` labels
-many sequences at once: it joins them into one residue string and scores
-every window of it in slices of :data:`CHUNK_WINDOWS` center positions, one
-max-product pass per class model and slice over the slice's residues, so
-memory is a few bytes per residue plus one slice. :func:`predict_structure`
-is its one-sequence form.
+many sequences at once: it joins those with a complete window into one
+residue string and scores every window of it in slices of
+:data:`CHUNK_WINDOWS` windows, one max-product pass per class model and
+slice over the slice's residues, so memory is a few bytes per residue plus
+one slice. :func:`predict_structure` is its one-sequence form.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -30,12 +29,11 @@ UNKNOWN_RESIDUE = "X"
 # Equal window scores go to the label listed first here.
 TIE_BREAK = "HCE"
 
-# Window centers per slice of the joined residues, so at most this many
-# windows per kernel call. Large enough that numpy's per-call cost is spread
-# over many windows. At half-width 5 a slice's scoring arrays take about 90
-# to 130 bytes per window (1 to 4 states; tracemalloc peak over one full
-# slice): the slice's symbols and a few float vectors per state, each 8
-# bytes per window.
+# Windows per slice of the joined residues, so per kernel call. Large
+# enough that numpy's per-call cost is spread over many windows. At
+# half-width 5 a slice's scoring arrays take about 90 to 130 bytes per
+# window (1 to 4 states; tracemalloc peak over one full slice): the slice's
+# symbols and a few float vectors per state, each 8 bytes per window.
 CHUNK_WINDOWS = 8192
 
 
@@ -101,46 +99,47 @@ def predict_structures(models: ClassModelSet, sequences: Iterable[str],
     'H'. The first and last ``half_width`` positions (which have no complete
     window) receive ``boundary_label``, and so does every position of a
     sequence shorter than one window. Each output has one label per residue
-    of ``fold_residues(sequence)``, which drops whitespace.
+    of ``fold_residues(sequence)``, which drops whitespace. ``sequences``
+    must hold strings; a bare ``str`` raises :class:`TypeError`.
 
-    The folded sequences are joined into one residue string and its window
-    centers are walked in slices of :data:`CHUNK_WINDOWS` positions, one
-    pass per class model over every window of a slice; a window that spans
-    two sequences, or is centered in a margin, is scored and its label
-    dropped, and a slice with no centered window is skipped. Memory is a few
-    bytes per input residue plus one slice's scoring arrays.
+    The folded sequences with a complete window are joined into one residue
+    string, whose window ``s`` is centered on its residue ``s + half_width``,
+    and its windows are scored in slices of :data:`CHUNK_WINDOWS`, one pass
+    per class model over every window of a slice; a window that spans two
+    sequences is scored and its label dropped. Memory is a few bytes per
+    input residue plus one slice's scoring arrays.
     """
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
     if boundary_label not in tuple(CLASS_ORDER):  # one letter, not a substring
         raise ValueError(f"boundary_label must be one of {CLASS_ORDER!r}")
+    if isinstance(sequences, str):
+        raise TypeError("sequences must be an iterable of str, not a str")
     params = [_log_params(models[label]) for label in TIE_BREAK]
     folded = [fold_residues(sequence) for sequence in sequences]
     if not all(folded):
         raise EmptySequence("residue sequence is empty")
-    residues = "".join(folded)
-    # Per residue, whether a complete window of its own sequence is centered
-    # on it: not in the half_width margins, nor in a sequence too short for
-    # one window.
-    centered = np.frombuffer(b"".join(
-        (b"\1" * (len(f) - 2 * half_width)).center(len(f), b"\0")
-        for f in folded), dtype=bool)
-    labels = np.full(len(residues), ord(boundary_label), dtype=np.uint8)
-    last = len(residues) - half_width
-    for start in range(half_width, last, CHUNK_WINDOWS):
-        stop = min(start + CHUNK_WINDOWS, last)
-        keep = centered[start:stop]
-        if not keep.any():
-            continue
-        symbols = encode_residues(residues[start - half_width:
-                                           stop + half_width])
-        scores = [_window_scores(*p, symbols, 2 * half_width + 1)
-                  for p in params]
-        labels[start:stop][keep] = \
-            _TIE_BREAK_BYTES[np.argmax(scores, axis=0)[keep]]
-    text = labels.tobytes().decode("ascii")
-    return [text[end - len(f):end]
-            for f, end in zip(folded, accumulate(map(len, folded)))]
+    width = 2 * half_width + 1
+    residues = "".join(f for f in folded if len(f) >= width)
+    windows = len(residues) - width + 1
+    labels = bytearray()
+    for start in range(0, windows, CHUNK_WINDOWS):
+        stop = min(start + CHUNK_WINDOWS, windows)
+        symbols = encode_residues(residues[start:stop + width - 1])
+        scores = [_window_scores(*p, symbols, width) for p in params]
+        labels += _TIE_BREAK_BYTES[np.argmax(scores, axis=0)].tobytes()
+    text = labels.decode("ascii")
+    margin = boundary_label * half_width
+    out = []
+    offset = 0  # where each joined sequence's windows start in ``text``
+    for f in folded:
+        if len(f) < width:
+            out.append(boundary_label * len(f))
+        else:
+            out.append(margin + text[offset:offset + len(f) - width + 1]
+                       + margin)
+            offset += len(f)
+    return out
 
 
 def predict_structure(models: ClassModelSet, sequence: str,

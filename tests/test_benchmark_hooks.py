@@ -38,13 +38,6 @@ def test_train_passes_the_traced_arguments_to_baum_welch(tmp_path,
     # The tracer reads ``model``, ``training`` and ``tol`` from every
     # ``ssph.training.baum_welch`` call, and counts the windows that
     # ``ssph.training.class_windows`` returns.
-    import inspect
-
-    import ssph.training
-    from ssph import format_labeled_dataset, planted_dataset
-    from ssph.cli import main
-    from ssph.dssp import CLASS_ORDER
-
     calls = {"baum_welch": [], "class_windows": []}
 
     def record(name):

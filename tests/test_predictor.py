@@ -335,9 +335,13 @@ def test_predict_structures_of_only_short_records_scores_nothing(
 @pytest.mark.parametrize("chunk_windows", [1, 3, 8, 13])
 def test_predict_structures_mixes_short_and_long_records_across_chunks(
         monkeypatch, chunk_windows):
-    # Runs of short records several chunks long, so whole slices have no
-    # centered window, next to long records whose windows span a chunk
-    # boundary; every slice the kernel scores has at least one window kept.
+    # Runs of short records several chunks long next to long records whose
+    # windows span a chunk boundary. Only the records with a window are
+    # joined, so the kernel scores each window of that join once per class
+    # and never a window inside a short record. A slice may hold only
+    # windows that span two records when CHUNK_WINDOWS <= 2 * half_width
+    # (here at 1 and 3); at the default 8192 every slice keeps a window for
+    # every half-width below 4096.
     monkeypatch.setattr(predictor, "CHUNK_WINDOWS", chunk_windows)
     calls = counting_kernel(monkeypatch)
     half_width = 2
@@ -351,21 +355,17 @@ def test_predict_structures_mixes_short_and_long_records_across_chunks(
         assert predict_structures(models, seqs, half_width) \
             == [reference_predict(models, seq, half_width, "C")
                 for seq in seqs]
-    offsets = [np.arange(length) for length in lengths]
-    centered = np.concatenate([(half_width <= p) & (p < len(p) - half_width)
-                               for p in offsets])
-    starts = range(half_width, len(centered) - half_width, chunk_windows)
-    scored = [start for start in starts
-              if centered[start:start + chunk_windows].any()]
-    assert len(scored) < len(starts)
-    assert len(calls) == 4 * 3 * len(scored)
+    windows = sum(n for n in lengths if n >= width) - width + 1
+    assert windows < sum(lengths) - width + 1
+    assert sum(calls) == 4 * 3 * windows
+    assert len(calls) == 4 * 3 * math.ceil(windows / chunk_windows)
     assert max(calls) <= chunk_windows
 
 
 def test_predict_structures_memory_grows_by_a_few_bytes_per_residue():
     # Twelve planted chains of 4 to 1000 residues, the shape of the
     # predict-proteome benchmark input, at 10x and 100x. Labelling keeps a
-    # few bytes per residue (folded text, window mask, labels) plus one
+    # few bytes per residue (folded and joined text, labels) plus one
     # chunk's scoring arrays, so 8 bytes per added residue is an upper bound;
     # holding 8-byte symbol indices for the whole input would exceed it.
     lengths = [round(4 * 250 ** (i / 11)) for i in range(12)]
@@ -387,6 +387,17 @@ def test_predict_structures_memory_grows_by_a_few_bytes_per_residue():
 
 def test_predict_structures_of_no_sequences_is_empty():
     assert predict_structures(stub_model_set(), []) == []
+
+
+def test_predict_structures_rejects_a_bare_string():
+    # A str would be labelled one character at a time, each a one-residue
+    # sequence given the boundary label.
+    with pytest.raises(TypeError, match="sequences must be an iterable"):
+        predict_structures(stub_model_set(), "ACDEFGHIKLMNP", half_width=2)
+    assert predict_structures(stub_model_set(),
+                              (s for s in ["ACDEFGHIKLMNP", "AC"]),
+                              half_width=2) \
+        == [predict_structure(stub_model_set(), "ACDEFGHIKLMNP", 2), "CC"]
 
 
 @pytest.mark.parametrize("half_width, boundary_label, message", [
