@@ -143,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
     except (SsphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # e.g. a --states too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     return 0
 
 

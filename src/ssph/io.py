@@ -19,8 +19,11 @@ Model files look like::
 
 Probabilities are printed with ``repr`` so the underlying binary values
 round-trip exactly. A parsed block becomes a model through the checked
-``Hmm`` constructor, and every error names the first offending line. All
-files are UTF-8 with LF line endings.
+``Hmm`` constructor, and every error names the first offending line.
+
+All files are UTF-8. Only LF ends a line: one CR before it is dropped, so
+CRLF files read as LF files, and no other character (such as FF, NEL or
+U+2028) breaks a line.
 
 The labeled dataset format is three lines per record: a ``>id`` header, the
 residue sequence, and a label line (either 8-letter DSSP, which is reduced to
@@ -34,8 +37,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -77,6 +81,17 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         raise
 
 
+def _lines(text: str) -> list[str]:
+    """The lines of ``text``. Only LF breaks a line, one CR before an LF is
+    dropped with it, and a final LF adds no empty line."""
+    if "\r" in text:  # a cheap test, which spares most texts a copy
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the text after the final LF, or an empty text
+    return lines
+
+
 def _record_id(header: str) -> str:
     """The id of a stripped ``>id`` header line; it may not be empty."""
     rec_id = header[1:].strip()
@@ -92,7 +107,7 @@ def _read_records(text: str) -> Iterator[tuple[str, list[str]]]:
     header's id is read, so its own errors are raised first."""
     rec_id: str | None = None
     body: list[str] = []
-    for line in text.splitlines():
+    for line in _lines(text):
         line = line.strip()
         if not line:
             continue
@@ -189,14 +204,10 @@ def format_models(models: ClassModelSet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _split_row(lines: list[str], index: int, keyword: str,
+def _split_row(line_no: int, line: str, keyword: str,
                width: int) -> list[float]:
-    """The ``width`` numbers of ``lines[index]``, a ``keyword`` row, each
-    converted by ``float``."""
-    line_no = index + 1
-    if index == len(lines):
-        raise ModelFormatError(f"line {line_no}: unexpected end of file")
-    line = lines[index]
+    """The ``width`` numbers of ``line``, a ``keyword`` row on line
+    ``line_no``, each converted by ``float``."""
     fields = line.split(" ")
     if fields[0] != keyword:
         raise ModelFormatError(
@@ -212,8 +223,10 @@ def _split_row(lines: list[str], index: int, keyword: str,
             f"line {line_no}: '{keyword}' row has a non-numeric field") from None
 
 
-def _read_model(lines: list[str], pos: int, k: int) -> Hmm:
-    """The ``k``-state model whose 'initial' row is ``lines[pos]``.
+def _read_model(take: Callable[[], tuple[int, str]], k: int) -> Hmm:
+    """The ``k``-state model whose 'initial' row ``take`` returns next. Rows
+    are taken one by one, so a file that ends early costs nothing for the
+    rows it lacks.
 
     Each row is split and converted on its own, and the ``Hmm`` constructor
     checks the rows of a well-formed block. If a row is malformed or the
@@ -221,17 +234,19 @@ def _read_model(lines: list[str], pos: int, k: int) -> Hmm:
     in line order, so the error names the first row that checking row by
     row would; a row sums to the same bits on its own as in the
     constructor's check."""
-    keywords = ["initial"] + ["transition"] * k + ["emission"] * k
+    layout = chain([("initial", k)], repeat(("transition", k), k),
+                   repeat(("emission", len(ALPHABET)), k))
+    taken: list[tuple[int, str]] = []  # (line number, keyword) of each row
     rows: list[list[float]] = []
     try:
-        for index, keyword in enumerate(keywords, start=pos):
-            width = len(ALPHABET) if keyword == "emission" else k
-            rows.append(_split_row(lines, index, keyword, width))
+        for keyword, width in layout:
+            line_no, line = take()
+            taken.append((line_no, keyword))
+            rows.append(_split_row(line_no, line, keyword, width))
         return Hmm(initial=rows[0], transition=rows[1:k + 1],
                    emission=rows[k + 1:])
     except (ModelFormatError, ValueError):
-        for line_no, (keyword, values) in enumerate(zip(keywords, rows),
-                                                    start=pos + 1):
+        for (line_no, keyword), values in zip(taken, rows):
             row = np.array(values)
             if not (row.min() >= 0.0 and row.max() <= 1.0):  # rejects NaN
                 raise ModelFormatError(f"line {line_no}: '{keyword}' row "
@@ -246,38 +261,36 @@ def _read_model(lines: list[str], pos: int, k: int) -> Hmm:
 def parse_models(text: str) -> ClassModelSet:
     """Parse the text model format, validating structure and stochasticity.
     Raises :class:`ModelFormatError` naming the offending line."""
-    lines = text.splitlines()
-    pos = 0  # lines taken so far; the last one taken is line ``pos``
+    lines = _lines(text)
+    numbered = enumerate(lines, start=1)
+    eof = (len(lines) + 1, None)  # what ``take`` gets past the last line
 
-    def take(expected: str | None = None) -> str:
-        """The next line, which must equal ``expected`` when one is given."""
-        nonlocal pos
-        if pos == len(lines):
-            raise ModelFormatError(f"line {pos + 1}: unexpected end of file")
-        line = lines[pos]
-        pos += 1
+    def take(expected: str | None = None) -> tuple[int, str]:
+        """The next line's number and text, checked against ``expected``."""
+        line_no, line = next(numbered, eof)
+        if line is None:
+            raise ModelFormatError(f"line {line_no}: unexpected end of file")
         if expected is not None and line != expected:
             raise ModelFormatError(
-                f"line {pos}: expected '{expected}', got {line!r}")
-        return line
+                f"line {line_no}: expected '{expected}', got {line!r}")
+        return line_no, line
 
     take(MODEL_FORMAT_VERSION)
     take(f"alphabet {ALPHABET}")
     models = {}
     for tag in CLASS_ORDER:
         take(f"model {tag}")
-        line = take()
+        line_no, line = take()
         fields = line.split(" ")
         if (len(fields) != 2 or fields[0] != "states"
                 or not (fields[1].isascii() and fields[1].isdigit())):
             raise ModelFormatError(
-                f"line {pos}: expected 'states <k>', got {line!r}")
+                f"line {line_no}: expected 'states <k>', got {line!r}")
         k = int(fields[1])
         if k < 1:
-            raise ModelFormatError(f"line {pos}: states must be >= 1")
-        models[tag] = _read_model(lines, pos, k)
-        pos += 2 * k + 1
-    for line_no, line in enumerate(lines[pos:], start=pos + 1):
+            raise ModelFormatError(f"line {line_no}: states must be >= 1")
+        models[tag] = _read_model(take, k)
+    for line_no, line in numbered:
         if line.strip():
             raise ModelFormatError(
                 f"line {line_no}: trailing content after model blocks")

@@ -5,8 +5,11 @@ record reader and a cursor-free model parser replaced them: the FASTA header
 state machine, the positional chunker behind the two fixed-line formats, and
 the line-cursor model parser. They are kept as written, so the tests can
 show that the readers in ``ssph.io`` return the same records, or raise the
-same errors, line for line. One deliberate change: the model parser names
-the line that holds trailing content, as ``ssph.io`` now does.
+same errors, line for line. Two deliberate changes: the model parser names
+the line that holds trailing content, as ``ssph.io`` now does, and every
+reader splits its text with ``_lines`` below, which breaks lines at LF only,
+where ``str.splitlines`` also broke them at CR, VT, FF, NEL, U+2028 and
+others.
 """
 
 import numpy as np
@@ -18,6 +21,14 @@ from ssph.errors import (EmptyRecord, LengthMismatch, MissingHeader,
 from ssph.hmm import ROW_SUM_TOL
 from ssph.io import FastaRecord, LabeledRecord
 from ssph.predictor import ALPHABET, fold_residues
+
+
+def _lines(text):
+    """Lines ended by LF, each without one CR before its LF; the text after
+    the last LF is a line unless it is empty."""
+    *lines, last = text.split("\n")
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    return lines + [last] if last else lines
 
 
 def _record_id(header):
@@ -38,7 +49,7 @@ def parse_fasta(text):
             raise EmptyRecord(f"record {current_id!r} has no sequence")
         records.append(FastaRecord(current_id, sequence))
 
-    for line in text.splitlines():
+    for line in _lines(text):
         line = line.strip()
         if not line:
             continue
@@ -57,7 +68,7 @@ def parse_fasta(text):
 
 
 def _read_records(text, body):
-    lines = [line.strip() for line in text.splitlines()]
+    lines = [line.strip() for line in _lines(text)]
     lines = [line for line in lines if line]
     k = len(body)
     for i in range(0, len(lines), k + 1):
@@ -92,7 +103,7 @@ def parse_label_records(text):
 
 class _LineCursor:
     def __init__(self, text):
-        self.lines = text.splitlines()
+        self.lines = _lines(text)
         self.pos = 0  # 0-based; reported line numbers are 1-based
 
     @property

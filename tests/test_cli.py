@@ -113,6 +113,28 @@ def test_train_reports_missing_class(tmp_path, capsys):
     assert not (tmp_path / "m.txt").exists()
 
 
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError("Unable to allocate 728. TiB"),
+     "Unable to allocate 728. TiB"),
+    (MemoryError(), "out of memory"),
+])
+def test_train_reports_a_failed_allocation_on_one_error_line(
+        tmp_path, chains, capsys, monkeypatch, exc, line):
+    # A training call that raises MemoryError stands in for an impossible
+    # allocation (say ``--states 10000000``); none is attempted here.
+    def train_models(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(ssph.cli, "train_models", train_models)
+    data = tmp_path / "train.txt"
+    write_dataset(data, chains[:4])
+    code = main(["train", "--data", str(data),
+                 "--out", str(tmp_path / "m.txt")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "m.txt").exists()
+
+
 def test_predict_empty_fasta_writes_empty_output(tmp_path):
     model_path = tmp_path / "models.txt"
     write_models(stub_model_set(), model_path)

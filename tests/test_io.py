@@ -3,6 +3,7 @@
 import os
 import re
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from ssph import (ALPHABET, ClassModelSet, FastaRecord, Hmm, LabeledRecord,
                   parse_labeled_dataset, parse_models, planted_models,
                   read_models, write_models)
 from ssph.errors import (EmptyRecord, LengthMismatch, MissingHeader,
-                         ModelFormatError, SsphError)
+                         ModelFormatError, SsphError, UnknownDsspCode)
 from ssph.io import atomic_write_text
 
 
@@ -187,6 +188,60 @@ def test_atomic_write_text_failure_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+# ---------------------------------------------------------------- line breaks
+# Characters that ``str.splitlines`` breaks lines at but the readers do not:
+# VT, FF, FS, GS, RS, NEL, U+2028, U+2029 and a CR not followed by LF.
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                   "\u2029", "\r"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_record_readers_break_lines_at_lf_only(char):
+    with pytest.raises(EmptyRecord) as excinfo:
+        parse_fasta(f">a desc{char}ACDE\n")
+    assert str(excinfo.value) == \
+        f"record {'a desc' + char + 'ACDE'!r} has no sequence"
+    # Inside a sequence line the character is whitespace, and is dropped.
+    assert parse_fasta(f">a\nAC{char}DE\n") == [FastaRecord("a", "ACDE")]
+    with pytest.raises(UnknownDsspCode, match="^position 2: "):
+        parse_label_records(f">a\nHH{char}EE\n")
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_parse_models_breaks_lines_at_lf_only(char):
+    text = format_models(random_model_set(3)).replace("\n", char, 1)
+    with pytest.raises(ModelFormatError) as excinfo:
+        parse_models(text)
+    first = f"SSPH-HMM v1{char}alphabet {ALPHABET}"
+    assert str(excinfo.value) == \
+        f"line 1: expected 'SSPH-HMM v1', got {first!r}"
+
+
+def test_readers_read_crlf_files_as_lf_files():
+    text = format_models(random_model_set(3))
+    assert models_equal(parse_models(text.replace("\n", "\r\n")),
+                        random_model_set(3))
+    assert parse_fasta(">a\r\nAC\r\nDE\r\n") == [FastaRecord("a", "ACDE")]
+    assert parse_label_records(">a\r\nHHEE\r\n") == [("a", "HHEE")]
+
+
+# A final LF adds no empty line, and only one CR before an LF goes with it.
+@pytest.mark.parametrize("text, message", [
+    ("", "line 1: unexpected end of file"),
+    ("SSPH-HMM v1", "line 2: unexpected end of file"),
+    ("SSPH-HMM v1\n", "line 2: unexpected end of file"),
+    ("SSPH-HMM v1\r\n", "line 2: unexpected end of file"),
+    ("SSPH-HMM v1\n\n", f"line 2: expected 'alphabet {ALPHABET}', got ''"),
+    ("SSPH-HMM v1\r\r\n",
+     "line 1: expected 'SSPH-HMM v1', got 'SSPH-HMM v1\\r'"),
+    ("SSPH-HMM v1\r", "line 1: expected 'SSPH-HMM v1', got 'SSPH-HMM v1\\r'"),
+])
+def test_parse_models_numbers_lines_by_lf(text, message):
+    with pytest.raises(ModelFormatError) as excinfo:
+        parse_models(text)
+    assert str(excinfo.value) == message
+
+
 # ----------------------------------------------------------------- model file
 
 def test_model_file_layout():
@@ -306,6 +361,20 @@ def test_parse_models_rejects_trailing_content():
 def test_parse_models_accepts_trailing_blank_lines():
     text = format_models(random_model_set(8)) + "\n\n"
     assert models_equal(parse_models(text), random_model_set(8))
+
+
+def test_parse_models_reports_a_short_file_before_allocating_its_rows():
+    # The block declares 4 million states and ends at its 'states' line.
+    text = f"SSPH-HMM v1\nalphabet {ALPHABET}\nmodel H\nstates 4000000\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModelFormatError) as excinfo:
+            parse_models(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(excinfo.value) == "line 5: unexpected end of file"
+    assert peak < 1_000_000
 
 
 def planted_lines():
@@ -473,10 +542,11 @@ def test_property_model_rows_are_checked_as_the_constructor_checks_them(
 # must return the same records, or raise the same error type and message,
 # apart from two deliberate message changes (see expected_outcome).
 
-HEADERS = [">a", ">b c", " >d ", ">>e", ">", "> "]
+HEADERS = [">a", ">b c", " >d ", ">>e", ">", "> ", ">a\x85ACDE"]
 BODY_LINES = ["ACDE", "acdx", "A C", "ACDEF", "HHEC", "HGIEB", "HE", "CC",
-              " EEE ", "HXC", "b"]
-BLANK_LINES = ["", "   ", "\t"]
+              " EEE ", "HXC", "b",
+              *(f"HE{char}CC" for char in NOT_LINE_BREAKS)]
+BLANK_LINES = ["", "   ", "\t", *NOT_LINE_BREAKS]
 
 
 @st.composite
@@ -488,7 +558,8 @@ def record_texts(draw):
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
         lines.append(draw(st.sampled_from(HEADERS)))
         lines += draw(st.lists(body, max_size=4))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
 def outcome(parse, text):
@@ -507,7 +578,7 @@ def expected_outcome(reference, text):
     expected = outcome(reference, text)
     if expected == (MissingHeader, "sequence data before any '>' header"):
         # FASTA now words this as the two fixed-line formats do.
-        first = next(line.strip() for line in text.splitlines()
+        first = next(line.strip() for line in reference_io._lines(text)
                      if line.strip())
         return MissingHeader, f"expected '>' header, got {first!r}"
     if isinstance(expected, tuple) and expected[0] is ModelFormatError:
@@ -530,7 +601,9 @@ def test_property_record_readers_match_the_reference(parse, reference, text):
 
 MODEL_LINES = ["", "  ", "junk", "SSPH-HMM v1", "model H", "model E",
                "states 0", "states 1", "states 3", "initial 1.0",
-               "initial 0.5 0.5", "transition 0.5 0.5", "emission 1.0"]
+               "initial 0.5 0.5", "transition 0.5 0.5", "emission 1.0",
+               *NOT_LINE_BREAKS, "SSPH-HMM v1\r", "model H\x1cstates 1",
+               "initial 1.0\u2028", "transition 0.5\x0c0.5"]
 MODEL_FIELDS = ["0.5", "0", "1", "1.5", "-0.0", "nan", "inf", "1e-300", "x",
                 ""]
 
