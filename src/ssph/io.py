@@ -286,7 +286,11 @@ def parse_models(text: str) -> ClassModelSet:
                 or not (fields[1].isascii() and fields[1].isdigit())):
             raise ModelFormatError(
                 f"line {line_no}: expected 'states <k>', got {line!r}")
-        k = int(fields[1])
+        try:
+            k = int(fields[1])
+        except ValueError:  # more digits than int() converts
+            raise ModelFormatError(
+                f"line {line_no}: states has too many digits") from None
         if k < 1:
             raise ModelFormatError(f"line {line_no}: states must be >= 1")
         models[tag] = _read_model(take, k)

@@ -3,10 +3,17 @@
 Each class model concentrates its emission mass on its own third of the
 residue alphabet, so windows carry a strong class signal; label runs follow a
 geometric length distribution. Used by the demos and the recovery tests.
+
+Each state and symbol is the draw ``Generator.choice(k, p=row)`` would make
+from the same uniform, searched on the right of the cdf ``choice`` builds
+(the ``Hmm`` constructor has checked the rows as ``choice`` would). One
+``rng.random`` call gives a run its uniforms in the order of those ``choice``
+calls, so a seed gives the chains and generator states of one call per draw.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import groupby
 
 import numpy as np
@@ -51,17 +58,38 @@ def planted_models(leak: float = 0.0) -> ClassModelSet:
                           for c in CLASS_ORDER})
 
 
+def _cdf(rows: np.ndarray) -> list:
+    """Each row's cdf as ``Generator.choice`` builds it from ``p``: the
+    cumulative sum divided by its last entry, so it ends at exactly 1."""
+    cdf = rows.cumsum(axis=-1)
+    return (cdf / cdf[..., -1:]).tolist()
+
+
+def _cdfs(model: Hmm) -> tuple[list, list, list]:
+    return _cdf(model.initial), _cdf(model.transition), _cdf(model.emission)
+
+
+def _sample(cdfs: tuple[list, list, list], length: int,
+            rng: np.random.Generator) -> list[int]:
+    """Ancestral sampling from a model's :func:`_cdfs`: the initial state,
+    then a symbol and a next state at every step, the last next state
+    included, each from one uniform."""
+    initial, transition, emission = cdfs
+    draws = iter(rng.random(2 * length + 1).tolist())
+    state = bisect_right(initial, next(draws))
+    symbols = []
+    for u_symbol, u_state in zip(draws, draws):
+        symbols.append(bisect_right(emission[state], u_symbol))
+        state = bisect_right(transition[state], u_state)
+    return symbols
+
+
 def sample_observations(model: Hmm, length: int,
                         rng: np.random.Generator) -> np.ndarray:
     """Ancestral sampling of one observation sequence from ``model``."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    symbols = np.empty(length, dtype=np.intp)
-    state = rng.choice(model.num_states, p=model.initial)
-    for t in range(length):
-        symbols[t] = rng.choice(model.alphabet_size, p=model.emission[state])
-        state = rng.choice(model.num_states, p=model.transition[state])
-    return symbols
+    return np.array(_sample(_cdfs(model), length, rng), dtype=np.intp)
 
 
 def sample_labeled_record(models: ClassModelSet, length: int,
@@ -77,9 +105,10 @@ def sample_labeled_record(models: ClassModelSet, length: int,
         if rng.random() > stay:
             others = [c for c in CLASS_ORDER if c != current]
             current = others[rng.integers(len(others))]
+    cdfs = {label: _cdfs(models[label]) for label in set(labels)}
     residues = []
     for label, run in groupby(labels):
-        symbols = sample_observations(models[label], len(list(run)), rng)
+        symbols = _sample(cdfs[label], len(list(run)), rng)
         residues.extend(ALPHABET[s] for s in symbols)
     return LabeledRecord(rec_id, "".join(residues), "".join(labels))
 

@@ -56,10 +56,10 @@ SHORT = 100
 TIE_GAP = 1e-9
 
 
-def write_inputs() -> None:
-    """Write the FASTA, truth and random model files from seeded draws.
-    Some chains are lower or mixed case, the 40-residue one carries B, Z, U
-    and inner whitespace, and the two longest are wrapped."""
+def write_inputs(target: Path = GOLDEN) -> None:
+    """Write the FASTA, truth and random model files from seeded draws into
+    ``target``. Some chains are lower or mixed case, the 40-residue one
+    carries B, Z, U and inner whitespace, and the two longest are wrapped."""
     chains = [planted_dataset(1, n, seed=700 + n)[0] for n in LENGTHS]
     fasta = []
     for rec in chains:
@@ -77,14 +77,14 @@ def write_inputs() -> None:
             seq = "\n".join(seq[i:i + 60] for i in range(0, n, 60))
         fasta.append(FastaRecord(rec.id.replace("chain0000", f"g{n:03d}"),
                                  seq))
-    FASTA.write_text(format_fasta(fasta), encoding="utf-8")
-    TRUTH.write_text(format_label_records(
+    (target / FASTA.name).write_text(format_fasta(fasta), encoding="utf-8")
+    (target / TRUTH.name).write_text(format_label_records(
         [(rec.id, chain.labels) for rec, chain in zip(fasta, chains)]),
         encoding="utf-8")
     for name, spec in RANDOM_SETS.items():
         models = ClassModelSet({label: new_random_hmm(states, 21, seed)
                                 for label, (states, seed) in spec.items()})
-        (GOLDEN / f"{name}.txt").write_text(format_models(models),
+        (target / f"{name}.txt").write_text(format_models(models),
                                             encoding="utf-8")
 
 

@@ -158,7 +158,11 @@ def _parse_model_block(cursor, tag):
             or not (fields[1].isascii() and fields[1].isdigit())):
         raise ModelFormatError(
             f"line {cursor.line_no}: expected 'states <k>', got {line!r}")
-    k = int(fields[1])
+    try:
+        k = int(fields[1])
+    except ValueError:  # more digits than int() converts
+        raise ModelFormatError(
+            f"line {cursor.line_no}: states has too many digits") from None
     if k < 1:
         raise ModelFormatError(f"line {cursor.line_no}: states must be >= 1")
     initial = _parse_prob_row(cursor, "initial", k)

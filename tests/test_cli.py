@@ -206,6 +206,21 @@ def test_predict_missing_model_file_fails_cleanly(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_predict_reports_a_state_count_int_cannot_convert(tmp_path, capsys):
+    models = tmp_path / "models.txt"
+    models.write_text(f"SSPH-HMM v1\nalphabet {ALPHABET}\nmodel H\n"
+                      f"states {'1' * 5000}\n", encoding="utf-8")
+    fasta = tmp_path / "in.fa"
+    fasta.write_text(">s\nACDEF\n", encoding="utf-8")
+    out = tmp_path / "pred.txt"
+    code = main(["predict", "--models", str(models), "--fasta", str(fasta),
+                 "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: line 4: states has too many digits\n"
+    assert not out.exists()
+
+
 def test_eval_identical_files_scores_one(tmp_path, capsys):
     labels = [("a", "HHEECC"), ("b", "CCCHHH")]
     pred = tmp_path / "p.txt"

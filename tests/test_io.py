@@ -425,6 +425,8 @@ MODEL_ERRORS = [
      "line 7: 'transition' row sums to 0.6, not 1"),
     ({8: emission_with_first("0.5"), 10: "states x"},
      "line 9: 'emission' row sums to 1.337738095238095, not 1"),
+    # Python's int() refuses strings of more than 4300 digits by default.
+    ({3: "states " + "9" * 5000}, "line 4: states has too many digits"),
 ]
 
 
@@ -600,8 +602,9 @@ def test_property_record_readers_match_the_reference(parse, reference, text):
 
 
 MODEL_LINES = ["", "  ", "junk", "SSPH-HMM v1", "model H", "model E",
-               "states 0", "states 1", "states 3", "initial 1.0",
-               "initial 0.5 0.5", "transition 0.5 0.5", "emission 1.0",
+               "states 0", "states 1", "states 3", "states " + "1" * 5000,
+               "initial 1.0", "initial 0.5 0.5", "transition 0.5 0.5",
+               "emission 1.0",
                *NOT_LINE_BREAKS, "SSPH-HMM v1\r", "model H\x1cstates 1",
                "initial 1.0\u2028", "transition 0.5\x0c0.5"]
 MODEL_FIELDS = ["0.5", "0", "1", "1.5", "-0.0", "nan", "inf", "1e-300", "x",

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssph import (LabeledRecord, baum_welch, class_windows, new_random_hmm,
-                  planted_dataset, planted_models, predict_structure,
-                  sample_observations, train_models)
+import reference_synthetic
+from ssph import (Hmm, LabeledRecord, baum_welch, class_windows,
+                  new_random_hmm, planted_dataset, planted_models,
+                  predict_structure, sample_observations, train_models)
 from ssph.dssp import CLASS_ORDER
 from ssph.errors import (ClassHasNoData, EmptyObservation, LengthMismatch,
                          NoTrainingData, SymbolOutOfRange)
@@ -284,6 +285,59 @@ def test_sample_observations_rejects_length_zero():
     with pytest.raises(ValueError, match="^length must be >= 1$"):
         sample_observations(planted_models()["H"], 0,
                             np.random.default_rng(0))
+
+
+@st.composite
+def sampled_models(draw):
+    """A planted model, maybe with leak, or a random model of 1-4 states
+    whose rows may hold exact zeros, first and last entries included."""
+    if draw(st.booleans()):
+        leak = draw(st.sampled_from([0.0, 0.1]) | st.floats(0.0, 0.99))
+        return planted_models(leak)[draw(st.sampled_from(CLASS_ORDER))]
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=6))
+    weight = st.just(0.0) | st.floats(min_value=1e-3, max_value=1.0)
+
+    def rows(count, width):
+        w = np.array(draw(st.lists(
+            st.lists(weight, min_size=width, max_size=width).filter(any),
+            min_size=count, max_size=count)))
+        return w / w.sum(axis=1, keepdims=True)
+
+    return Hmm(initial=rows(1, n)[0], transition=rows(n, n),
+               emission=rows(n, m))
+
+
+@given(model=sampled_models(), length=st.integers(min_value=1, max_value=60),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       pending_half=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_property_sample_observations_makes_the_draws_of_choice(
+        model, length, seed, pending_half):
+    # Same symbols and the same generator state afterwards as one
+    # Generator.choice call per draw, also when the generator holds the
+    # unused 32-bit half of a buffered integers() draw.
+    rng = np.random.default_rng(seed)
+    reference_rng = np.random.default_rng(seed)
+    if pending_half:
+        rng.integers(3)
+        reference_rng.integers(3)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    symbols = sample_observations(model, length, rng)
+    expected = reference_synthetic.sample_observations(model, length,
+                                                       reference_rng)
+    assert symbols.dtype == expected.dtype == np.intp
+    assert np.array_equal(symbols, expected)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed, stay, leak", [(0, 0.85, 0.0), (7, 0.5, 0.0),
+                                              (11, 0.95, 0.2), (3, 0.0, 0.0),
+                                              (5, 1.0, 0.05)])
+def test_planted_dataset_makes_the_draws_of_choice(seed, stay, leak):
+    assert planted_dataset(4, 80, seed=seed, stay=stay, leak=leak) == \
+        reference_synthetic.planted_dataset(4, 80, seed=seed, stay=stay,
+                                            leak=leak)
 
 
 def test_planted_dataset_shape_and_determinism():
