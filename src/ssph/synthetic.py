@@ -92,12 +92,14 @@ def sample_observations(model: Hmm, length: int,
     return np.array(_sample(_cdfs(model), length, rng), dtype=np.intp)
 
 
-def sample_labeled_record(models: ClassModelSet, length: int,
-                          rng: np.random.Generator, rec_id: str,
-                          stay: float = 0.85) -> LabeledRecord:
-    """One chain: labels follow a Markov chain with self-transition ``stay``
-    (geometric run lengths); residues within a run are sampled from that
-    class's model."""
+def _sample_chain(cdfs: dict, length: int, rng: np.random.Generator,
+                  rec_id: str, stay: float) -> LabeledRecord:
+    """One chain from each class's :func:`_cdfs` in ``cdfs``: the label
+    chain's draws, then one :func:`_sample` per run of a label."""
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    if not 0.0 <= stay <= 1.0:  # also rejects NaN
+        raise ValueError("stay must be in [0, 1]")
     labels = []
     current = CLASS_ORDER[rng.integers(len(CLASS_ORDER))]
     for _ in range(length):
@@ -105,7 +107,6 @@ def sample_labeled_record(models: ClassModelSet, length: int,
         if rng.random() > stay:
             others = [c for c in CLASS_ORDER if c != current]
             current = others[rng.integers(len(others))]
-    cdfs = {label: _cdfs(models[label]) for label in set(labels)}
     residues = []
     for label, run in groupby(labels):
         symbols = _sample(cdfs[label], len(list(run)), rng)
@@ -113,10 +114,25 @@ def sample_labeled_record(models: ClassModelSet, length: int,
     return LabeledRecord(rec_id, "".join(residues), "".join(labels))
 
 
+def _class_cdfs(models: ClassModelSet) -> dict:
+    return {label: _cdfs(models[label]) for label in CLASS_ORDER}
+
+
+def sample_labeled_record(models: ClassModelSet, length: int,
+                          rng: np.random.Generator, rec_id: str,
+                          stay: float = 0.85) -> LabeledRecord:
+    """One chain: labels follow a Markov chain with self-transition ``stay``
+    (geometric run lengths); residues within a run are sampled from that
+    class's model. Raises ``ValueError`` before any draw for a ``length``
+    below 1 or a ``stay`` outside [0, 1]."""
+    return _sample_chain(_class_cdfs(models), length, rng, rec_id, stay)
+
+
 def planted_dataset(num_chains: int, length: int, *, seed: int = 0,
                     stay: float = 0.85, leak: float = 0.0) -> list[LabeledRecord]:
-    """Reproducible list of labeled chains drawn from the planted models."""
-    models = planted_models(leak)
+    """Reproducible list of labeled chains drawn from the planted models,
+    every chain sampled from one set of class tables."""
+    cdfs = _class_cdfs(planted_models(leak))
     rng = np.random.default_rng(seed)
-    return [sample_labeled_record(models, length, rng, f"chain{i:04d}", stay)
+    return [_sample_chain(cdfs, length, rng, f"chain{i:04d}", stay)
             for i in range(num_chains)]

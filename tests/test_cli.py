@@ -1,5 +1,7 @@
 """End-to-end command line runs against temporary files."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -421,3 +423,79 @@ def test_main_reused_in_one_process_matches_fresh_runs(tmp_path, chains,
         assert files_of(reused) == files_of(fresh), argv
         codes.append(code)
     assert codes == [0] * 6 + [1, 2, 0]
+
+
+# Valid inputs of each subcommand, small enough that a run that gets through
+# the parsers takes a few milliseconds.
+FUZZ_CHAINS = planted_dataset(6, 12, seed=2)
+VALID_INPUTS = {
+    "models": format_models(ClassModelSet(
+        {label: new_random_hmm(2, len(ALPHABET), i)
+         for i, label in enumerate("HEC")})),
+    "fasta": format_fasta([FastaRecord(r.id, r.sequence)
+                           for r in FUZZ_CHAINS]),
+    "pred": format_label_records([(r.id, r.labels[::-1])
+                                  for r in FUZZ_CHAINS]),
+    "truth": format_label_records([(r.id, r.labels) for r in FUZZ_CHAINS]),
+    "data": format_labeled_dataset(FUZZ_CHAINS),
+}
+# Each subcommand's argv, the input files it reads and the files it writes.
+FUZZ_RUNS = {
+    "predict": (["predict", "--models", "{models}", "--fasta", "{fasta}",
+                 "--out", "{out}", "--window", "2"], ("out",)),
+    "eval": (["eval", "--pred", "{pred}", "--truth", "{truth}", "--window",
+              "2", "--out", "{out}", "--csv", "{csv}"], ("out", "csv")),
+    "train": (["train", "--data", "{data}", "--out", "{out}", "--window",
+               "1", "--iters", "2"], ("out",)),
+}
+
+
+def file_bytes(valid):
+    """Arbitrary text, arbitrary bytes, the valid file itself, or the valid
+    file with a slice replaced by arbitrary text or bytes."""
+    valid = valid.encode("utf-8")
+    junk = st.text(max_size=40).map(str.encode) | st.binary(max_size=40)
+    mutated = st.builds(
+        lambda start, cut, insert: valid[:start] + insert
+        + valid[start + cut:],
+        st.integers(0, len(valid)), st.integers(0, 30), junk)
+    return (st.text(max_size=200).map(str.encode) | st.binary(max_size=200)
+            | st.just(valid) | mutated)
+
+
+@st.composite
+def fuzz_runs(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_RUNS)))
+    argv, _ = FUZZ_RUNS[command]
+    names = [arg[1:-1] for arg in argv if arg[1:-1] in VALID_INPUTS]
+    return command, {name: draw(file_bytes(VALID_INPUTS[name]))
+                     for name in names}
+
+
+@given(fuzz_runs())
+@settings(max_examples=150, deadline=None)
+def test_property_main_fails_on_bad_input_files_with_one_error_line(
+        tmp_path_factory, run):
+    # README promises that every failed run exits 1 with one error: line and
+    # leaves no output file; no input file may make main() raise instead.
+    command, inputs = run
+    tmp_path = tmp_path_factory.mktemp("fuzz")
+    for name, data in inputs.items():
+        (tmp_path / name).write_bytes(data)
+    argv, outputs = FUZZ_RUNS[command]
+    argv = [arg.format_map({name: tmp_path / name
+                            for name in [*inputs, *outputs]})
+            for arg in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    if code == 0:
+        assert err == ""
+        assert all((tmp_path / name).exists() for name in outputs)
+    else:
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("\n") and "Traceback" not in err
+        assert not any((tmp_path / name).exists() for name in outputs)

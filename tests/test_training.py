@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_synthetic
+import ssph.synthetic
 from ssph import (Hmm, LabeledRecord, baum_welch, class_windows,
                   new_random_hmm, planted_dataset, planted_models,
                   predict_structure, sample_observations, train_models)
@@ -13,7 +14,7 @@ from ssph.dssp import CLASS_ORDER
 from ssph.errors import (ClassHasNoData, EmptyObservation, LengthMismatch,
                          NoTrainingData, SymbolOutOfRange)
 from ssph.predictor import ALPHABET, encode_residues
-from ssph.synthetic import CLASS_RESIDUE_GROUPS
+from ssph.synthetic import CLASS_RESIDUE_GROUPS, sample_labeled_record
 
 
 def reference_class_windows(records, half_width):
@@ -338,6 +339,87 @@ def test_planted_dataset_makes_the_draws_of_choice(seed, stay, leak):
     assert planted_dataset(4, 80, seed=seed, stay=stay, leak=leak) == \
         reference_synthetic.planted_dataset(4, 80, seed=seed, stay=stay,
                                             leak=leak)
+
+
+def _assert_same_state(state, expected):
+    # Generator states nest dicts of ints and (for MT19937, Philox) arrays.
+    assert state.keys() == expected.keys()
+    for key, value in state.items():
+        if isinstance(value, dict):
+            _assert_same_state(value, expected[key])
+        elif isinstance(value, np.ndarray):
+            assert np.array_equal(value, expected[key]), key
+        else:
+            assert value == expected[key], key
+
+
+GENERATORS = {
+    "pcg64": lambda seed: np.random.Generator(np.random.PCG64(seed)),
+    "pcg64_pending_half": lambda seed: np.random.Generator(
+        np.random.PCG64(seed)),
+    "mt19937": lambda seed: np.random.Generator(np.random.MT19937(seed)),
+    "philox": lambda seed: np.random.Generator(np.random.Philox(seed)),
+    "sfc64": lambda seed: np.random.Generator(np.random.SFC64(seed)),
+}
+
+
+@pytest.mark.parametrize("generator", sorted(GENERATORS))
+@pytest.mark.parametrize("length", [1, 2, 80])
+@pytest.mark.parametrize("stay", [0.0, 0.85, 1.0])
+def test_sample_labeled_record_makes_the_draws_of_choice(generator, length,
+                                                         stay):
+    # Same record, the same generator state afterwards and the same next
+    # double as the reference's one Generator.choice call per draw.
+    models = planted_models(0.1)
+    seed = 1000 * length + int(100 * stay)
+    rng = GENERATORS[generator](seed)
+    reference_rng = GENERATORS[generator](seed)
+    if generator == "pcg64_pending_half":
+        rng.integers(3)
+        reference_rng.integers(3)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    record = sample_labeled_record(models, length, rng, "r", stay)
+    expected = reference_synthetic.sample_labeled_record(
+        models, length, reference_rng, "r", stay)
+    assert record == expected
+    _assert_same_state(rng.bit_generator.state,
+                       reference_rng.bit_generator.state)
+    assert rng.random() == reference_rng.random()
+
+
+def test_planted_dataset_builds_the_class_tables_once(monkeypatch):
+    calls = []
+    cdfs = ssph.synthetic._cdfs
+
+    def counted(model):
+        calls.append(model)
+        return cdfs(model)
+
+    monkeypatch.setattr(ssph.synthetic, "_cdfs", counted)
+    planted_dataset(50, 20)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("length", [0, -1])
+def test_synthetic_chains_reject_length_below_one(length):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^length must be >= 1$"):
+        sample_labeled_record(planted_models(), length, rng, "r")
+    assert rng.bit_generator.state == before
+    with pytest.raises(ValueError, match="^length must be >= 1$"):
+        planted_dataset(2, length)
+
+
+@pytest.mark.parametrize("stay", [-0.1, 1.5, float("nan"), float("inf")])
+def test_synthetic_chains_reject_stay_outside_the_unit_interval(stay):
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^stay must be in \[0, 1\]$"):
+        sample_labeled_record(planted_models(), 10, rng, "r", stay)
+    assert rng.bit_generator.state == before
+    with pytest.raises(ValueError, match=r"^stay must be in \[0, 1\]$"):
+        planted_dataset(2, 10, stay=stay)
 
 
 def test_planted_dataset_shape_and_determinism():
