@@ -188,29 +188,42 @@ def _window_scores(log_init: np.ndarray, log_trans: np.ndarray,
     """Best-path log score of every ``width``-symbol window of the 1-D
     integer run ``symbols``: entry ``s`` scores ``symbols[s:s + width]``.
     It is the max-product recursion of :func:`viterbi` without the
-    backtrace, run on all windows at once. It makes the same additions and
-    ``max`` returns one of its inputs, so every score equals
+    backtrace, run on all windows at once, and every score equals
     ``viterbi(...).log_prob`` bit for bit.
 
     Each state's emissions are gathered once per symbol, and step ``t`` of
     every window adds the contiguous slice ``emit[j][t:t + m]`` of them, so
     no window array is built. ``delta`` holds one contiguous (m,) vector per
     state, and each step takes each target state's maximum over its
-    predecessors as ``np.maximum`` over those vectors."""
+    predecessors as ``np.maximum`` over those vectors.
+
+    A step allocates nothing: the log parameters become Python floats once
+    per call, and every add and maximum writes into a ``new`` vector per
+    state or one ``tmp``, allocated per call; ``delta`` and ``new`` swap
+    after each step. This is exact because it makes the same float64
+    additions in the same order as a plain allocating recursion, ``max``
+    returns one of its inputs, and the buffers live for one call only, so
+    the result shares memory with no input and no other call."""
     m = len(symbols) - width + 1
     states = range(len(log_init))
+    init = log_init.tolist()
+    trans = log_trans.tolist()
     emit = [log_emit[j].take(symbols) for j in states]
-    delta = [log_init[j] + emit[j][:m] for j in states]
+    delta = [np.add(init[j], emit[j][:m]) for j in states]
+    new = [np.empty(m) for _ in states]
+    tmp = np.empty(m)
     for t in range(1, width):
-        new = []
         for j in states:
-            best = delta[0] + log_trans[0, j]
+            best = np.add(delta[0], trans[0][j], out=new[j])
             for i in states[1:]:
-                np.maximum(best, delta[i] + log_trans[i, j], out=best)
-            best += emit[j][t:t + m]
-            new.append(best)
-        delta = new
-    return np.max(delta, axis=0)
+                np.maximum(best, np.add(delta[i], trans[i][j], out=tmp),
+                           out=best)
+            np.add(best, emit[j][t:t + m], out=best)
+        delta, new = new, delta
+    best = delta[0]
+    for d in delta[1:]:
+        np.maximum(best, d, out=best)
+    return best
 
 
 def sequence_score(model: Hmm, obs: Sequence[int]) -> float:

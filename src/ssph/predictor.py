@@ -31,9 +31,10 @@ TIE_BREAK = "HCE"
 
 # Windows per slice of the joined residues, so per kernel call. Large
 # enough that numpy's per-call cost is spread over many windows. At
-# half-width 5 a slice's scoring arrays take about 90 to 130 bytes per
+# half-width 5 a slice's scoring arrays take about 60 to 130 bytes per
 # window (1 to 4 states; tracemalloc peak over one full slice): the slice's
-# symbols and a few float vectors per state, each 8 bytes per window.
+# symbols, three float vectors per state and one more in the kernel, and
+# the scores kept for the other classes, each 8 bytes per window.
 CHUNK_WINDOWS = 8192
 
 
@@ -88,6 +89,14 @@ class ClassModelSet:
         return self._models[_CLASS_INDEX[label]]
 
 
+def _first_max(first: np.ndarray, second: np.ndarray, third: np.ndarray
+               ) -> np.ndarray:
+    """Per element, the index (0, 1 or 2) of the largest of the three score
+    vectors, the lowest index on ties: ``np.argmax`` over their stack, so 0
+    where all three are -inf, without building the (3, m) stack."""
+    return np.where(third > np.maximum(first, second), 2, second > first)
+
+
 def predict_structures(models: ClassModelSet, sequences: Iterable[str],
                        half_width: int = 5, boundary_label: str = "C"
                        ) -> list[str]:
@@ -127,7 +136,7 @@ def predict_structures(models: ClassModelSet, sequences: Iterable[str],
         stop = min(start + CHUNK_WINDOWS, windows)
         symbols = encode_residues(residues[start:stop + width - 1])
         scores = [_window_scores(*p, symbols, width) for p in params]
-        labels += _TIE_BREAK_BYTES[np.argmax(scores, axis=0)].tobytes()
+        labels += _TIE_BREAK_BYTES[_first_max(*scores)].tobytes()
     text = labels.decode("ascii")
     margin = boundary_label * half_width
     out = []

@@ -987,6 +987,31 @@ def test_batched_scores_do_not_depend_on_the_window_layout(
         assert scores.tobytes() == expected.tobytes(), layout
 
 
+@pytest.mark.parametrize("width", [1, 2, 11])
+@pytest.mark.parametrize("num_states", [1, 2, 3, 4])
+def test_window_scores_leave_inputs_and_earlier_results_alone(num_states,
+                                                              width):
+    # The kernel writes into buffers of its own: the inputs keep their
+    # bytes, the result shares memory with none of them, and a later call
+    # leaves an earlier result as it was. Width 1 runs no step, so its
+    # result is the closing maximum of the first vectors, as
+    # ``sequence_score`` of one symbol.
+    rng = np.random.default_rng(31 * num_states + width)
+    model = random_model_with_zeros(rng, num_states, 21)
+    symbols = rng.integers(0, 21, size=width + 40)
+    inputs = [*_log_params(model), symbols]
+    before = [a.copy() for a in inputs]
+    scores = _window_scores(*inputs, width)
+    for a, b in zip(inputs, before):
+        assert a.tobytes() == b.tobytes()
+        assert not np.shares_memory(scores, a)
+    expected = viterbi_windows(model, symbols, width).tobytes()
+    assert scores.tobytes() == expected
+    _window_scores(*_log_params(random_model_with_zeros(rng, num_states, 21)),
+                   rng.integers(0, 21, size=width + 40), width)
+    assert scores.tobytes() == expected
+
+
 # ------------------------------------------------------------------ properties
 
 @st.composite

@@ -15,8 +15,8 @@ from helpers import faulty_rows, random_model
 from ssph import (ALPHABET, ClassModelSet, FastaRecord, Hmm, LabeledRecord,
                   format_fasta, format_label_records, format_labeled_dataset,
                   format_models, parse_fasta, parse_label_records,
-                  parse_labeled_dataset, parse_models, planted_models,
-                  read_models, write_models)
+                  parse_labeled_dataset, parse_models, planted_dataset,
+                  planted_models, read_models, write_models)
 from ssph.errors import (EmptyRecord, LengthMismatch, MissingHeader,
                          ModelFormatError, SsphError, UnknownDsspCode)
 from ssph.io import atomic_write_text
@@ -375,6 +375,99 @@ def test_parse_models_reports_a_short_file_before_allocating_its_rows():
         tracemalloc.stop()
     assert str(excinfo.value) == "line 5: unexpected end of file"
     assert peak < 1_000_000
+
+
+# ---------------------------------------------------- parser memory bound
+
+PARSERS = [parse_fasta, parse_label_records, parse_labeled_dataset,
+           parse_models]
+# Every parser's tracemalloc peak is at most PEAK_CONSTANT bytes plus a
+# fixed multiple of len(text). Any text: WORST_BYTES_PER_CHAR. The worst
+# measured (CPython 3.11) is 71.5 bytes per character, for FASTA records
+# of one astral character each as id and sequence (">😀\n😀\n" repeated):
+# each line is its own 80-byte str object. Benchmark-shaped files:
+# SHAPED_BYTES_PER_CHAR; measured 3.0-3.8 for the record formats and 8.7
+# for a model file padded with blank lines to 100 times its size (an
+# 8-byte list slot per blank line).
+PEAK_CONSTANT = 16_384
+WORST_BYTES_PER_CHAR = 80
+SHAPED_BYTES_PER_CHAR = 10
+
+
+def traced_peak(call):
+    """tracemalloc peak of ``call()``, after one untraced call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def failing_peak(parse, text):
+    """:func:`traced_peak` of ``parse(text)``, which may fail on ``text`` as
+    a failed run would."""
+    def call():
+        try:
+            parse(text)
+        except (SsphError, ValueError):
+            pass
+    return traced_peak(call)
+
+
+def shaped_text(parse):
+    """A valid input for ``parse`` shaped like the benchmark's: twelve
+    planted chains of 4 to 1000 residues, 90 labelled chains of 110, or a
+    3-state model file."""
+    if parse is parse_models:
+        return format_models(random_model_set(5, num_states=3))
+    if parse is parse_labeled_dataset:
+        return format_labeled_dataset(planted_dataset(90, 110, seed=3,
+                                                      stay=0.95))
+    chains = [planted_dataset(1, round(4 * 250 ** (i / 11)), seed=100 + i,
+                              stay=0.95)[0] for i in range(12)]
+    if parse is parse_fasta:
+        return format_fasta([FastaRecord(f"p{i}", c.sequence)
+                             for i, c in enumerate(chains)])
+    return format_label_records([(f"p{i}", c.labels)
+                                 for i, c in enumerate(chains)])
+
+
+@pytest.mark.parametrize("copies", [1, 10, 100])
+@pytest.mark.parametrize("parse", PARSERS)
+def test_parser_peak_is_linear_in_a_benchmark_shaped_input(parse, copies):
+    text = shaped_text(parse)
+    # A model file holds three blocks, so it grows by trailing blank lines.
+    text = (text + "\n" * (len(text) * (copies - 1)) if parse is parse_models
+            else text * copies)
+    # Valid: a parse error would fail the test.
+    assert traced_peak(lambda: parse(text)) \
+        <= PEAK_CONSTANT + SHAPED_BYTES_PER_CHAR * len(text)
+
+
+@pytest.mark.parametrize("parse", PARSERS)
+def test_parser_peak_of_the_measured_worst_case_is_under_the_bound(parse):
+    text = ">\U0001F600\n\U0001F600\n" * 25_000
+    assert failing_peak(parse, text) \
+        <= PEAK_CONSTANT + WORST_BYTES_PER_CHAR * len(text)
+
+
+# Characters that make short, costly lines: line breaks, headers, letters
+# the formats use, and non-ASCII ones of two and four bytes.
+_MEMORY_CHARS = st.sampled_from(["\n", "\r", ">", " ", "A", "H", "x", "0",
+                                 "€", "\U0001F600"]) | st.characters()
+
+
+@given(st.text(_MEMORY_CHARS, min_size=1, max_size=12),
+       st.sampled_from(PARSERS))
+@settings(max_examples=60, deadline=None)
+def test_property_parser_peak_is_bounded_on_any_text(unit, parse):
+    # The drawn unit repeated to about 4000 characters, so the per-character
+    # term, not the constant, carries the bound.
+    text = unit * (4000 // len(unit))
+    assert failing_peak(parse, text) \
+        <= PEAK_CONSTANT + WORST_BYTES_PER_CHAR * len(text)
 
 
 def planted_lines():

@@ -101,6 +101,21 @@ def test_property_centre_label_is_the_first_maximum(k_h, k_e, k_c):
     assert centre_label(k_h / 20, k_e / 20, k_c / 20) == expected
 
 
+# Window scores on a small grid plus -inf, so that two- and three-way ties
+# and windows every class scores -inf are common. Scores are never NaN.
+_score_grid = st.sampled_from([-math.inf, -3.0, -2.5, -1.0, -0.0, 0.0])
+
+
+@given(st.integers(min_value=1, max_value=40).flatmap(
+    lambda m: st.lists(st.lists(_score_grid, min_size=m, max_size=m),
+                       min_size=3, max_size=3)))
+@settings(max_examples=300, deadline=None)
+def test_property_first_max_is_argmax_over_the_stack(scores):
+    first, second, third = (np.array(s) for s in scores)
+    picked = predictor._first_max(first, second, third)
+    assert picked.tolist() == np.argmax(np.stack(scores), axis=0).tolist()
+
+
 def test_window_scores_match_the_oracle():
     models = planted_models(leak=0.1)
     window = "ACDEF"  # drawn from the helix model's residue group
