@@ -311,14 +311,14 @@ def backward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
 
 
 class _EStep:
-    """The E-step of one :func:`baum_welch` call, in two passes:
-    :meth:`forward` gives the log-likelihood of the training data and
-    :meth:`counts` the expected counts from the lattices it left, so a
-    caller that needs only the likelihood skips the backward pass. The
-    working arrays of each equal-length batch are allocated once, here, and
-    every call refills them in place; an iteration allocates only per-step
-    (states, batch) vectors. Each ``baum_welch`` call builds its own, so
-    concurrent calls share nothing."""
+    """The E-step of one :func:`baum_welch` call, in two passes that callers
+    run in this order: :meth:`forward` gives the log-likelihood of the
+    training data, then :meth:`counts` the expected counts from the
+    lattices it left, so a caller that needs only the likelihood skips the
+    backward pass. The working arrays of each equal-length batch are
+    allocated once, here, and every call refills them in place; an
+    iteration allocates only per-step (states, batch) vectors. Each
+    ``baum_welch`` call builds its own, so concurrent calls share nothing."""
 
     def __init__(self, num_states: int, batches: list[np.ndarray]) -> None:
         self._work = []
@@ -367,16 +367,9 @@ class _EStep:
             for k in range(n):
                 emit[k] += np.bincount(symbols, weights=gamma[k].reshape(-1),
                                        minlength=m)
-            if steps.shape[0] > 1:
-                trans += model.transition * (alpha[:, :-1].reshape(n, -1)
-                                             @ nxt.reshape(n, -1).T)
+            trans += model.transition * (alpha[:, :-1].reshape(n, -1)
+                                         @ nxt.reshape(n, -1).T)
         return start, trans, emit
-
-    def __call__(self, model: Hmm
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Both passes: the expected counts and the log-likelihood."""
-        total_ll = self.forward(model)
-        return (*self.counts(model), total_ll)
 
 
 def _normalized(counts: np.ndarray, previous: np.ndarray) -> np.ndarray:

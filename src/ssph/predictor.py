@@ -66,13 +66,10 @@ def encode_residues(sequence: str) -> np.ndarray:
     return _INDEX[np.frombuffer(folded, dtype=np.uint8)]
 
 
-_CLASS_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
-
-
 class ClassModelSet:
     """The three per-class models, all over the 21-letter residue alphabet,
-    built from a mapping keyed by class label and held in
-    :data:`CLASS_ORDER`. ``models[label]`` gives the model of one class."""
+    copied from a mapping keyed by class label, so later changes to that
+    mapping do not reach the set. ``models[label]`` gives one class's model."""
 
     def __init__(self, models: Mapping[str, Hmm]) -> None:
         if set(models) != set(CLASS_ORDER):
@@ -83,10 +80,10 @@ class ClassModelSet:
             if size != len(ALPHABET):
                 raise ValueError(f"{label} model has alphabet size {size}, "
                                  f"expected {len(ALPHABET)}")
-        self._models = tuple(models[label] for label in CLASS_ORDER)
+        self._models = {label: models[label] for label in CLASS_ORDER}
 
     def __getitem__(self, label: str) -> Hmm:
-        return self._models[_CLASS_INDEX[label]]
+        return self._models[label]
 
 
 def _first_max(first: np.ndarray, second: np.ndarray, third: np.ndarray

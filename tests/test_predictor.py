@@ -147,6 +147,10 @@ def test_class_model_set_gives_each_label_its_model():
     for label in ("Q", "", "HE"):
         with pytest.raises(KeyError):
             models[label]
+    # The set keeps its own mapping: replacing the caller's entry leaves it.
+    kept = given_models["E"]
+    given_models["E"] = new_random_hmm(2, 21, seed=9)
+    assert models["E"] is kept
 
 
 # --------------------------------------------------------- predict_structure
