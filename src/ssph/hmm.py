@@ -7,10 +7,10 @@ Window scores come from one max-product pass over every fixed-width window
 of a symbol run, which gathers each symbol's emissions once and gives the
 same bits as :func:`viterbi` on each window.
 
-The scaled recursions fill arrays their caller owns. A likelihood call
-allocates them for its one sequence; a Baum-Welch call allocates one set per
-equal-length batch of its training data and every EM iteration reuses it.
-The E-step after the last re-estimation runs the forward pass only."""
+The scaled recursions run in ``_EStep``, the one owner of their arrays: one
+set per equal-length batch of sequences, built once per likelihood or
+Baum-Welch call and refilled in place by every EM iteration. The E-step
+after the last re-estimation runs the forward pass only."""
 
 from __future__ import annotations
 
@@ -257,7 +257,7 @@ def _scaled_backward(model: Hmm, emit: np.ndarray, alpha: np.ndarray,
                      nxt: np.ndarray) -> None:
     """Backward pass matching :func:`_scaled_forward`, divided by the same
     scale factors, so that alpha * beta is the state posterior. ``scale``
-    must be positive: pass 1 for a step whose ``c`` is 0. Fills ``beta``
+    must be positive, as it is when every sequence is possible. Fills ``beta``
     (shaped like ``alpha``) and ``nxt`` (states, length-1, batch) with the
     term ``e(t+1) * beta(t+1) / c(t+1)`` of each step, which the transition
     counts reuse.
@@ -274,51 +274,38 @@ def _scaled_backward(model: Hmm, emit: np.ndarray, alpha: np.ndarray,
         beta[:, t] *= model.transition @ term
 
 
-def _log_total(scale: np.ndarray) -> float:
-    with np.errstate(divide="ignore"):  # ln 0 = -inf: probability 0
-        return float(np.log(scale).sum())
-
-
-def _forward_one(model: Hmm, obs: Sequence[int]
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Emissions, alphas and scale factors of one sequence, as a batch of
-    one."""
-    emit = np.take(model.emission, _check_obs(model, obs)[:, None], axis=1)
-    alpha = np.empty_like(emit)
-    scale = np.empty(emit.shape[1:])
-    _scaled_forward(model, emit, alpha, scale)
-    return emit, alpha, scale
-
-
 def forward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
     """ln P(obs | model), summing over all state paths with the scaled forward
     recursion. -inf if the probability is 0, also when a step's total mass
     underflows double precision."""
-    return _log_total(_forward_one(model, obs)[2])
+    e_step = _EStep(model.num_states, [_check_obs(model, obs)[None]])
+    return e_step.forward(model)
 
 
 def backward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
     """ln P(obs | model) via the backward recursion, scaled by the forward
     pass's factors; agrees with the forward value up to roundoff, and is -inf
     where that is."""
-    emit, alpha, scale = _forward_one(model, obs)
-    beta = np.empty_like(alpha)
-    nxt = np.empty((emit.shape[0], emit.shape[1] - 1, 1))
-    _scaled_backward(model, emit, alpha, np.where(scale > 0.0, scale, 1.0),
-                     beta, nxt)
+    e_step = _EStep(model.num_states, [_check_obs(model, obs)[None]])
+    if e_step.forward(model) == -math.inf:
+        return -math.inf
+    [(_, emit, alpha, beta, nxt, scale, _)] = e_step._work
+    _scaled_backward(model, emit, alpha, scale, beta, nxt)
     first = model.initial @ (emit[:, 0, 0] * beta[:, 0, 0])
-    return _log_total(np.append(scale[1:], first))
+    with np.errstate(divide="ignore"):  # ln 0 = -inf: probability 0
+        return float(np.log(np.append(scale[1:], first)).sum())
 
 
 class _EStep:
-    """The E-step of one :func:`baum_welch` call, in two passes that callers
-    run in this order: :meth:`forward` gives the log-likelihood of the
-    training data, then :meth:`counts` the expected counts from the
-    lattices it left, so a caller that needs only the likelihood skips the
-    backward pass. The working arrays of each equal-length batch are
-    allocated once, here, and every call refills them in place; an
-    iteration allocates only per-step (states, batch) vectors. Each
-    ``baum_welch`` call builds its own, so concurrent calls share nothing."""
+    """The scaled forward and backward passes of one :func:`baum_welch` or
+    likelihood call, over equal-length batches of sequences. :meth:`forward`
+    gives the log-likelihood of the data, -inf if a sequence has probability
+    0; :meth:`counts` then gives the expected counts from the lattices it
+    left, if that was finite, so a caller that needs only the likelihood
+    skips the backward pass. The working arrays of each batch are allocated
+    once, here, and every call refills them in place; an iteration allocates
+    only per-step (states, batch) vectors. Each call builds its own, so
+    concurrent calls share nothing."""
 
     def __init__(self, num_states: int, batches: list[np.ndarray]) -> None:
         self._work = []
@@ -336,18 +323,16 @@ class _EStep:
             ))
 
     def forward(self, model: Hmm) -> float:
-        """Total log-likelihood of the training data under ``model``.
-        Raises ``ValueError`` if a sequence has probability 0, which
-        includes a step whose total mass underflows double precision."""
+        """Total log-likelihood of the data under ``model``; -inf if a
+        sequence has probability 0, which includes a step whose total mass
+        underflows double precision."""
         total_ll = 0.0
         for steps, obs_emit, alpha, _, _, scale, log_scale in self._work:
             # Symbols were checked when the batches were built.
             np.take(model.emission, steps, axis=1, out=obs_emit, mode="clip")
             _scaled_forward(model, obs_emit, alpha, scale)
-            if not np.all(scale > 0.0):
-                raise ValueError(
-                    "a training sequence has zero probability under the model")
-            total_ll += float(np.log(scale, out=log_scale).sum())
+            with np.errstate(divide="ignore"):  # ln 0 = -inf: probability 0
+                total_ll += float(np.log(scale, out=log_scale).sum())
         return total_ll
 
     def counts(self, model: Hmm
@@ -426,13 +411,21 @@ def baum_welch(model: Hmm, training: Iterable[Sequence[int]],
         return model, trace
 
     e_step = _EStep(model.num_states, batches)
+
+    def log_likelihood(current: Hmm) -> float:
+        ll = e_step.forward(current)
+        if ll == -math.inf:
+            raise ValueError(
+                "a training sequence has zero probability under the model")
+        return ll
+
     current = model
-    ll_prev = e_step.forward(current)
+    ll_prev = log_likelihood(current)
     for _ in range(max_iters):
         # The counts of the model after the last re-estimation are never
         # used, so its E-step runs the forward pass only.
         current = _reestimate(current, *e_step.counts(current), pseudocount)
-        ll = e_step.forward(current)
+        ll = log_likelihood(current)
         trace.append(ll)
         if ll - ll_prev < tol:
             break

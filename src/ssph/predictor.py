@@ -94,6 +94,14 @@ def _first_max(first: np.ndarray, second: np.ndarray, third: np.ndarray
     return np.where(third > np.maximum(first, second), 2, second > first)
 
 
+def _label_windows(params: list, residues: str, width: int) -> bytes:
+    """The :data:`TIE_BREAK` label of every ``width``-residue window of
+    ``residues``, given each label's log parameters in that order."""
+    symbols = encode_residues(residues)
+    scores = [_window_scores(*p, symbols, width) for p in params]
+    return _TIE_BREAK_BYTES[_first_max(*scores)].tobytes()
+
+
 def predict_structures(models: ClassModelSet, sequences: Iterable[str],
                        half_width: int = 5, boundary_label: str = "C"
                        ) -> list[str]:
@@ -127,21 +135,18 @@ def predict_structures(models: ClassModelSet, sequences: Iterable[str],
         raise EmptySequence("residue sequence is empty")
     width = 2 * half_width + 1
     residues = "".join(f for f in folded if len(f) >= width)
-    windows = len(residues) - width + 1
     labels = bytearray()
-    for start in range(0, windows, CHUNK_WINDOWS):
-        stop = min(start + CHUNK_WINDOWS, windows)
-        symbols = encode_residues(residues[start:stop + width - 1])
-        scores = [_window_scores(*p, symbols, width) for p in params]
-        labels += _TIE_BREAK_BYTES[_first_max(*scores)].tobytes()
+    for start in range(0, len(residues) - width + 1, CHUNK_WINDOWS):
+        labels += _label_windows(
+            params, residues[start:start + CHUNK_WINDOWS + width - 1], width)
     text = labels.decode("ascii")
-    margin = boundary_label * half_width
     out = []
     offset = 0  # where each joined sequence's windows start in ``text``
     for f in folded:
         if len(f) < width:
             out.append(boundary_label * len(f))
         else:
+            margin = boundary_label * half_width  # half_width < len(f) here
             out.append(margin + text[offset:offset + len(f) - width + 1]
                        + margin)
             offset += len(f)

@@ -173,6 +173,25 @@ def test_predict_short_sequence_is_all_boundary(tmp_path):
     assert parse_label_records(out.read_text(encoding="utf-8")) == [("s", "HHH")]
 
 
+def test_predict_window_too_wide_to_build_writes_the_boundary_labels(
+        tmp_path, capsys):
+    # No boundary string as long as the half-width is built unless a record
+    # has a complete window, so 10**18 does not run out of memory and
+    # 10**19 (past sys.maxsize) does not overflow.
+    model_path = tmp_path / "models.txt"
+    write_models(stub_model_set(), model_path)
+    fasta = tmp_path / "in.fa"
+    fasta.write_text(">s\nACDEIKLMRS\n", encoding="utf-8")
+    written = []
+    for window in ("1000", str(10**18), str(10**19)):
+        out = tmp_path / f"{window}.txt"
+        assert main(["predict", "--models", str(model_path), "--fasta",
+                     str(fasta), "--out", str(out), "--window", window]) == 0
+        written.append(out.read_bytes())
+    assert written == [b">s\nCCCCCCCCCC\n"] * 3
+    assert capsys.readouterr().err == ""
+
+
 def test_predict_many_records_matches_one_record_runs(tmp_path, chains):
     # One run over many records, with records shorter than one window
     # between them, writes what one run per record writes.

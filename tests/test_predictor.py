@@ -351,6 +351,21 @@ def test_predict_structures_of_only_short_records_scores_nothing(
     assert calls == []
 
 
+@pytest.mark.parametrize("half_width", [10**18, 10**19])
+def test_predict_structures_of_a_half_width_too_wide_to_build(monkeypatch,
+                                                              half_width):
+    # No boundary string of half_width labels is built when no record has a
+    # complete window: at 10**18 it would not fit in memory, and 10**19 is
+    # past sys.maxsize.
+    calls = counting_kernel(monkeypatch)
+    seqs = ["ACDEFGHIKL", "A", "MNPQRSTVWYX" * 30]
+    for boundary_label in "HEC":
+        assert predict_structures(stub_model_set(), seqs, half_width,
+                                  boundary_label) \
+            == [boundary_label * len(seq) for seq in seqs]
+    assert calls == []
+
+
 @pytest.mark.parametrize("chunk_windows", [1, 3, 8, 13])
 def test_predict_structures_mixes_short_and_long_records_across_chunks(
         monkeypatch, chunk_windows):
