@@ -4,8 +4,10 @@ recursions of Rabiner 1989 (Proc. IEEE 77(2), section V.A) in probability
 space.
 
 Window scores come from one max-product pass over every fixed-width window
-of a symbol run, which gathers each symbol's emissions once and gives the
-same bits as :func:`viterbi` on each window.
+of a symbol run, which gathers each symbol's emissions once. The pass runs
+in the dtype of the log parameters it is given: in float64 it gives the
+same bits as :func:`viterbi` on each window, and the predictor also runs it
+in float32 to screen labels (see ``predictor._window_doubt``).
 
 The scaled recursions run in ``_EStep``, the one owner of their arrays: one
 set per equal-length batch of sequences, built once per likelihood or
@@ -188,8 +190,8 @@ def _window_scores(log_init: np.ndarray, log_trans: np.ndarray,
     """Best-path log score of every ``width``-symbol window of the 1-D
     integer run ``symbols``: entry ``s`` scores ``symbols[s:s + width]``.
     It is the max-product recursion of :func:`viterbi` without the
-    backtrace, run on all windows at once, and every score equals
-    ``viterbi(...).log_prob`` bit for bit.
+    backtrace, run on all windows at once in the dtype of ``log_emit``. In
+    float64 every score equals ``viterbi(...).log_prob`` bit for bit.
 
     Each state's emissions are gathered once per symbol, and step ``t`` of
     every window adds the contiguous slice ``emit[j][t:t + m]`` of them, so
@@ -197,32 +199,38 @@ def _window_scores(log_init: np.ndarray, log_trans: np.ndarray,
     state, and each step takes each target state's maximum over its
     predecessors as ``np.maximum`` over those vectors.
 
-    A step allocates nothing: the log parameters become Python floats once
-    per call, and every add and maximum writes into a ``new`` vector per
-    state or one ``tmp``, allocated per call; ``delta`` and ``new`` swap
-    after each step. This is exact because it makes the same float64
-    additions in the same order as a plain allocating recursion, ``max``
-    returns one of its inputs, and the buffers live for one call only, so
-    the result shares memory with no input and no other call."""
+    A step allocates nothing: the initial and transition log parameters
+    become 0-d arrays of the kernel's dtype once per call, and every add and
+    maximum writes into a ``new`` vector per state or one ``tmp``, allocated
+    per call; ``delta`` and ``new`` swap after each step. The 0-d operands
+    must have the kernel's dtype: a float64 one would turn a float32 add
+    into a float64 add, and a Python float costs more per add. This is
+    exact because it makes the same additions in the same order as a plain
+    allocating recursion, ``max`` returns one of its inputs, and the buffers
+    live for one call only, so the result shares memory with no input and
+    no other call."""
+    dtype = log_emit.dtype
     m = len(symbols) - width + 1
     states = range(len(log_init))
-    init = log_init.tolist()
-    trans = log_trans.tolist()
+    # Local names for what the step loop looks up on every ufunc call: on
+    # a few thousand windows the lookups cost about a tenth of the kernel.
+    add, maximum, rest = np.add, np.maximum, states[1:]
+    init = [np.array(v, dtype) for v in log_init]
+    trans = [[np.array(v, dtype) for v in row] for row in log_trans]
     emit = [log_emit[j].take(symbols) for j in states]
-    delta = [np.add(init[j], emit[j][:m]) for j in states]
-    new = [np.empty(m) for _ in states]
-    tmp = np.empty(m)
+    delta = [add(init[j], emit[j][:m]) for j in states]
+    new = [np.empty(m, dtype) for _ in states]
+    tmp = np.empty(m, dtype)
     for t in range(1, width):
         for j in states:
-            best = np.add(delta[0], trans[0][j], out=new[j])
-            for i in states[1:]:
-                np.maximum(best, np.add(delta[i], trans[i][j], out=tmp),
-                           out=best)
-            np.add(best, emit[j][t:t + m], out=best)
+            best = add(delta[0], trans[0][j], new[j])
+            for i in rest:
+                maximum(best, add(delta[i], trans[i][j], tmp), out=best)
+            add(best, emit[j][t:t + m], best)
         delta, new = new, delta
     best = delta[0]
     for d in delta[1:]:
-        np.maximum(best, d, out=best)
+        maximum(best, d, out=best)
     return best
 
 

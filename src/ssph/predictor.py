@@ -8,10 +8,15 @@ residue string and scores every window of it in slices of
 :data:`CHUNK_WINDOWS` windows, one max-product pass per class model and
 slice over the slice's residues, so memory is a few bytes per residue plus
 one slice. :func:`predict_structure` is its one-sequence form.
+
+The passes run in float32, and a rounding bound proves which windows'
+labels equal those of float64 scores; only the other windows are scored
+again in float64, so every label is the float64 label bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -31,10 +36,13 @@ TIE_BREAK = "HCE"
 
 # Windows per slice of the joined residues, so per kernel call. Large
 # enough that numpy's per-call cost is spread over many windows. At
-# half-width 5 a slice's scoring arrays take about 60 to 130 bytes per
-# window (1 to 4 states; tracemalloc peak over one full slice): the slice's
-# symbols, three float vectors per state and one more in the kernel, and
-# the scores kept for the other classes, each 8 bytes per window.
+# half-width 5 a slice's scoring arrays take about 57 to 69 bytes per
+# window (1 to 4 states; tracemalloc peak over one full slice) when the
+# float32 pass proves every label, and 67 to 145 when every window is in
+# doubt: the slice's symbols and labels, 8 bytes per window each, three
+# float32 vectors per state and one more in the kernel, and the float32
+# scores kept for the other classes, 4 bytes per window each, plus the
+# doubted windows' indices and one float64 pass over at most the slice.
 CHUNK_WINDOWS = 8192
 
 
@@ -94,12 +102,90 @@ def _first_max(first: np.ndarray, second: np.ndarray, third: np.ndarray
     return np.where(third > np.maximum(first, second), 2, second > first)
 
 
-def _label_windows(params: list, residues: str, width: int) -> bytes:
+# Unit roundoff of float32 and float64.
+_U32 = 2.0 ** -24
+_U64 = 2.0 ** -53
+
+
+def _gamma(k: int, u: float) -> float:
+    """Higham's bound on the relative error of ``k`` roundings at unit
+    roundoff ``u``."""
+    return k * u / (1 - k * u)
+
+
+def _window_doubt(first: np.ndarray, second: np.ndarray, third: np.ndarray,
+                  width: int) -> np.ndarray:
+    """Per window, whether the float32 scores ``first``, ``second`` and
+    ``third`` of its three classes, from float32 copies of the float64 log
+    parameters, leave its label in doubt. Where they do not, the label
+    :func:`_first_max` picks from them is the float64 scores' label.
+
+    Take the float64 log parameters as exact. A window's exact score S is
+    the maximum over state paths of a sum of 2*width terms (one initial,
+    width - 1 transitions and width emissions), each <= 0. Rounding is
+    monotone, so a computed score is the maximum over paths of each path's
+    rounded left-to-right sum, and a sum of terms of one sign has a relative
+    error of at most ``_gamma(k, u)`` (Higham 2002, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3): k = 2*width - 1 additions at
+    u = 2**-53 in float64, and in float32 (u = 2**-24) one more rounding of
+    each term. This takes k = 2*width for float64 and k = 4*width for
+    float32, where Higham's lemma 3.3 needs 2*width; the slack is used
+    below. The bounds carry over to the maximum, so a class's float32 score
+    X and float64 score Y both lie within that relative error of S, and
+    |Y - X| <= kappa * |X| with kappa = (g32 + g64) / (1 - g32). The model
+    holds: a nonzero log of a float64 probability lies in [-745, -2**-53],
+    so no float32 term is subnormal, a finite path sum of under 10**35
+    terms does not overflow, and -inf comes only from log 0, so a score is
+    -inf in float32 exactly where it is in float64.
+
+    Let b be a window's best float32 score and r the runner-up. If
+    b - r > kappa * (|b| + |r|), that is b > r * q with
+    q = (1 - kappa) / (1 + kappa), then b's class has a float64 score of at
+    least b * (1 + kappa) and every other class at most r * (1 - kappa), so
+    the float64 label is b's. The test runs in float64 on the float32
+    scores, where only q and the product r * q are rounded: a relative
+    error of 5 * 2**-53 at most, far inside the slack of 2*width * 2**-24
+    in kappa. So a window is in doubt when r * q >= b, which holds for
+    every exact tie, also of two scores of 0.0, so that :data:`TIE_BREAK`
+    decides ties in float64. A finite b against an r of -inf is proven. A
+    b of -inf is proven too: all three float64 scores are then -inf and the
+    label is 'H' at either precision. No product is NaN, since q is finite
+    and positive. From 4 * width * 2**-24 >= 1/4 (width >= 2**20) on, the
+    bound is not used and every window is in doubt."""
+    if 4 * width * _U32 >= 0.25:
+        return np.ones(len(first), dtype=bool)
+    g32 = _gamma(4 * width, _U32)
+    kappa = (g32 + _gamma(2 * width, _U64)) / (1 - g32)
+    high = np.maximum(first, second)
+    best = np.maximum(high, third)
+    runner = np.maximum(np.minimum(first, second), np.minimum(high, third))
+    return ((runner * np.float64((1 - kappa) / (1 + kappa)) >= best)
+            & (best > -math.inf))
+
+
+def _label_windows(screen: list, exact: list, residues: str, width: int
+                   ) -> bytes:
     """The :data:`TIE_BREAK` label of every ``width``-residue window of
-    ``residues``, given each label's log parameters in that order."""
+    ``residues``, given each label's log parameters in that order, as
+    float32 copies (``screen``) and in float64 (``exact``). Every window is
+    scored in float32, and the windows :func:`_window_doubt` leaves in
+    doubt are scored again in float64 with one kernel call per class: on a
+    run of their symbols, ``width`` per window, of which every
+    ``width``-th score is kept, or on the whole slice when that run would
+    be longer, so the float64 pass never scores more than the slice."""
     symbols = encode_residues(residues)
-    scores = [_window_scores(*p, symbols, width) for p in params]
-    return _TIE_BREAK_BYTES[_first_max(*scores)].tobytes()
+    scores = [_window_scores(*p, symbols, width) for p in screen]
+    labels = _first_max(*scores)
+    doubt = np.flatnonzero(_window_doubt(*scores, width))
+    if len(doubt):
+        if len(doubt) * width < len(symbols):
+            run = symbols[(doubt[:, None] + np.arange(width)).ravel()]
+            keep = slice(None, None, width)
+        else:
+            run, keep = symbols, doubt
+        labels[doubt] = _first_max(
+            *[_window_scores(*p, run, width)[keep] for p in exact])
+    return _TIE_BREAK_BYTES[labels].tobytes()
 
 
 def predict_structures(models: ClassModelSet, sequences: Iterable[str],
@@ -129,7 +215,8 @@ def predict_structures(models: ClassModelSet, sequences: Iterable[str],
         raise ValueError(f"boundary_label must be one of {CLASS_ORDER!r}")
     if isinstance(sequences, str):
         raise TypeError("sequences must be an iterable of str, not a str")
-    params = [_log_params(models[label]) for label in TIE_BREAK]
+    exact = [_log_params(models[label]) for label in TIE_BREAK]
+    screen = [[a.astype(np.float32) for a in p] for p in exact]
     folded = [fold_residues(sequence) for sequence in sequences]
     if not all(folded):
         raise EmptySequence("residue sequence is empty")
@@ -138,7 +225,8 @@ def predict_structures(models: ClassModelSet, sequences: Iterable[str],
     labels = bytearray()
     for start in range(0, len(residues) - width + 1, CHUNK_WINDOWS):
         labels += _label_windows(
-            params, residues[start:start + CHUNK_WINDOWS + width - 1], width)
+            screen, exact, residues[start:start + CHUNK_WINDOWS + width - 1],
+            width)
     text = labels.decode("ascii")
     out = []
     offset = 0  # where each joined sequence's windows start in ``text``

@@ -7,6 +7,8 @@ predictor scores at inference time.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -22,7 +24,10 @@ def class_windows(records: list[LabeledRecord],
     """Encoded windows of length 2*half_width+1 grouped by the true label of
     the center residue: one (windows, 2*half_width+1) ``intp`` array per
     class, rows in record order, then position order. Positions without a
-    complete window contribute none. Raises :class:`LengthMismatch` when a
+    complete window contribute none, so a class without windows gets zero
+    rows; when no record has a window, and one row of 2*half_width+1
+    ``intp`` would pass ``sys.maxsize`` bytes, which no numpy array can
+    have, it gets zero columns too. Raises :class:`LengthMismatch` when a
     record does not have one label per encoded residue, and ``ValueError``
     naming the first center label that is not a class."""
     if half_width < 1:
@@ -47,7 +52,9 @@ def class_windows(records: list[LabeledRecord],
         # "." if not: the margins are half_width each, or the whole record.
         codes.append(center.center(n, "."))
     if sum(map(len, codes)) < width:
-        return {c: np.empty((0, width), dtype=np.intp) for c in CLASS_ORDER}
+        fits = width <= sys.maxsize // np.dtype(np.intp).itemsize
+        return {c: np.empty((0, width if fits else 0), dtype=np.intp)
+                for c in CLASS_ORDER}
     # Every window of the joined records, tagged by the code of its center;
     # a window that spans two records is centered on a "." and never taken.
     windows = sliding_window_view(np.concatenate(encoded), width)

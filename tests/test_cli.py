@@ -115,6 +115,19 @@ def test_train_reports_missing_class(tmp_path, capsys):
     assert not (tmp_path / "m.txt").exists()
 
 
+@pytest.mark.parametrize("window", ["100", str(10**18), str(10**19)])
+def test_train_window_wider_than_every_chain_names_the_empty_class(
+        tmp_path, capsys, window):
+    data = tmp_path / "train.txt"
+    write_dataset(data, planted_dataset(6, 30, seed=1))
+    code = main(["train", "--data", str(data),
+                 "--out", str(tmp_path / "m.txt"), "--window", window])
+    assert code == 1
+    assert capsys.readouterr().err \
+        == "error: class H has no training windows\n"
+    assert not (tmp_path / "m.txt").exists()
+
+
 @pytest.mark.parametrize("exc, line", [
     (MemoryError("Unable to allocate 728. TiB"),
      "Unable to allocate 728. TiB"),

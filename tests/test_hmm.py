@@ -1025,6 +1025,37 @@ def test_window_scores_leave_inputs_and_earlier_results_alone(num_states,
     assert scores.tobytes() == expected
 
 
+def float32_windows(params, symbols, width):
+    """Every ``width``-symbol window's best-path score from an allocating
+    max-product recursion run in float32 on float32 copies of ``params``."""
+    init, trans, emit = (a.astype(np.float32) for a in params)
+    scores = []
+    for row in sliding_window_view(symbols, width):
+        delta = init + emit[:, row[0]]
+        for symbol in row[1:]:
+            delta = (delta[:, None] + trans).max(axis=0) + emit[:, symbol]
+        scores.append(delta.max())
+    return np.array(scores, dtype=np.float32)
+
+
+@pytest.mark.parametrize("num_states", [1, 2, 3])
+def test_window_scores_keep_the_dtype_of_their_parameters(num_states):
+    # The kernel's 0-d operands take its dtype: a float64 one would make
+    # every float32 add a float64 add, and the float32 screen of the
+    # predictor would run in float64 unseen.
+    rng = np.random.default_rng(77 + num_states)
+    model = random_model_with_zeros(rng, num_states, 21)
+    symbols = rng.integers(0, 21, size=70)
+    params = _log_params(model)
+    single = _window_scores(*(a.astype(np.float32) for a in params),
+                            symbols, 11)
+    assert single.dtype == np.float32
+    assert single.tobytes() == float32_windows(params, symbols, 11).tobytes()
+    double = _window_scores(*params, symbols, 11)
+    assert double.dtype == np.float64
+    assert double.tobytes() == viterbi_windows(model, symbols, 11).tobytes()
+
+
 # ------------------------------------------------------------------ properties
 
 @st.composite

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -114,6 +115,24 @@ def test_property_first_max_is_argmax_over_the_stack(scores):
     first, second, third = (np.array(s) for s in scores)
     picked = predictor._first_max(first, second, third)
     assert picked.tolist() == np.argmax(np.stack(scores), axis=0).tolist()
+
+
+def test_window_doubt_of_ties_infinities_and_wide_windows():
+    # Per column: a tie at 0.0, a tie below 0, a one-ulp gap, a finite best
+    # against two -inf, all three -inf, and a clear gap. Ties and the
+    # one-ulp gap are in doubt; -inf runner-ups prove the label, and so do
+    # three -inf scores, which are -inf in float64 too (label 'H').
+    below_one = np.nextafter(np.float32(-1.0), np.float32(-2.0))
+    first = np.array([0.0, -2.0, -1.0, -1.0, -np.inf, -1.0], np.float32)
+    second = np.array([0.0, -3.0, below_one, -np.inf, -np.inf, -5.0],
+                      np.float32)
+    third = np.array([-1.0, -2.0, -4.0, -np.inf, -np.inf, -6.0], np.float32)
+    for width in (3, 11, 2**20 - 1):
+        assert predictor._window_doubt(first, second, third,
+                                       width).tolist() \
+            == [True, True, True, False, False, False]
+    # From width 2**20 on the bound is not used: every window is in doubt.
+    assert predictor._window_doubt(first, second, third, 2**20).all()
 
 
 def test_window_scores_match_the_oracle():
@@ -319,17 +338,44 @@ def test_predict_structures_matches_the_per_window_loop_across_records(
                 for seq in seqs]
 
 
+KernelCall = namedtuple("KernelCall", "dtype windows symbols scores")
+
+
 def counting_kernel(monkeypatch):
-    """Replace the predictor's window kernel with one that records the
-    number of windows of each call."""
+    """Replace the predictor's window kernel with one that records each
+    call as a :class:`KernelCall`: its dtype, numbers of windows and of
+    symbols, and a copy of its scores."""
     calls = []
 
     def kernel(log_init, log_trans, log_emit, symbols, width):
-        calls.append(len(symbols) - width + 1)
-        return _window_scores(log_init, log_trans, log_emit, symbols, width)
+        scores = _window_scores(log_init, log_trans, log_emit, symbols, width)
+        calls.append(KernelCall(scores.dtype, len(symbols) - width + 1,
+                                len(symbols), scores.copy()))
+        return scores
 
     monkeypatch.setattr(predictor, "_window_scores", kernel)
     return calls
+
+
+def screen_windows(calls, width):
+    """The windows of each float32 call, after checking that the calls
+    come per slice as one float32 call per class, then one float64 call
+    per class if and only if the float32 scores leave a window in doubt,
+    each on at most ``width`` symbols per doubted window."""
+    screened = []
+    rest = list(calls)
+    while rest:
+        screen, rest = rest[:3], rest[3:]
+        assert [c.dtype for c in screen] == [np.float32] * 3
+        assert len({c.windows for c in screen}) == 1
+        screened += [c.windows for c in screen]
+        doubt = predictor._window_doubt(*(c.scores for c in screen),
+                                        width).sum()
+        if doubt:
+            rescore, rest = rest[:3], rest[3:]
+            assert [c.dtype for c in rescore] == [np.float64] * 3
+            assert all(c.symbols <= width * doubt for c in rescore)
+    return screened
 
 
 @pytest.mark.parametrize("half_width", [1, 2, 5])
@@ -391,9 +437,64 @@ def test_predict_structures_mixes_short_and_long_records_across_chunks(
                 for seq in seqs]
     windows = sum(n for n in lengths if n >= width) - width + 1
     assert windows < sum(lengths) - width + 1
-    assert sum(calls) == 4 * 3 * windows
-    assert len(calls) == 4 * 3 * math.ceil(windows / chunk_windows)
-    assert max(calls) <= chunk_windows
+    screened = screen_windows(calls, width)
+    assert sum(screened) == 4 * 3 * windows
+    assert len(screened) == 4 * 3 * math.ceil(windows / chunk_windows)
+    assert max(screened) <= chunk_windows
+    # The planted sets score some mixed windows equally in two classes, so
+    # some slices are scored again in float64.
+    assert any(c.dtype == np.float64 for c in calls)
+
+
+def nudged(rng, log_params, dtype):
+    """``log_params`` with each entry below 0 replaced by its nearest
+    ``dtype`` value moved one ``dtype`` ulp up or down at random, as
+    float64; 0 and -inf stay."""
+    out = []
+    for a in log_params:
+        toward = np.where(rng.random(a.shape) < 0.5, -np.inf, 0.0)
+        moved = np.nextafter(a.astype(dtype), toward.astype(dtype))
+        out.append(np.where(np.isfinite(a) & (a < 0), moved, a))
+    return tuple(out)
+
+
+@st.composite
+def near_tied_params(draw):
+    """Float64 log parameters of three classes (in :data:`TIE_BREAK` order)
+    over the residue alphabet, built to tie: random log parameters, some
+    -inf and some 0, and two more sets that are a copy of them (an exact
+    tie) or them with each entry below 0 moved one float64 or one float32
+    ulp. So windows' three float64 scores are equal or differ in their last
+    bits (by exactly one ulp where a path's only nonzero term is its
+    initial one), and their float32 scores are equal or ordered either
+    way."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0,
+                                                 max_value=2**32 - 1)))
+    shapes = (n,), (n, n), (n, len(ALPHABET))
+    base = tuple(np.select([u < 0.1, u < 0.35],
+                           [-np.inf, 0.0], np.log(u + 1e-3))
+                 for u in map(rng.random, shapes))
+    kinds = draw(st.lists(st.sampled_from(["copy", np.float64, np.float32]),
+                          min_size=2, max_size=2))
+    params = [base] + [base if kind == "copy" else nudged(rng, base, kind)
+                       for kind in kinds]
+    return [params[i] for i in draw(st.permutations(range(3)))]
+
+
+@given(near_tied_params(), st.integers(min_value=1, max_value=4),
+       st.text(alphabet="ACDEF", min_size=1, max_size=120))
+@settings(max_examples=200, deadline=None)
+def test_property_screened_labels_are_the_float64_labels(exact, half_width,
+                                                         residues):
+    width = 2 * half_width + 1
+    residues = residues * (1 + 2 * width // len(residues))
+    symbols = encode_residues(residues)
+    screen = [[a.astype(np.float32) for a in p] for p in exact]
+    float64_only = predictor._first_max(
+        *[_window_scores(*p, symbols, width) for p in exact])
+    assert predictor._label_windows(screen, exact, residues, width) \
+        == "".join(predictor.TIE_BREAK[i] for i in float64_only).encode()
 
 
 def test_predict_structures_memory_grows_by_a_few_bytes_per_residue():

@@ -156,6 +156,21 @@ def test_class_windows_empty_class_is_a_zero_row_array():
     assert windows["H"].shape == (3, 5)
 
 
+@pytest.mark.parametrize("half_width", [10**18, 10**19])
+def test_class_windows_of_a_half_width_too_wide_to_build(half_width):
+    # No intp row of 2*half_width+1 columns fits in an array, even with zero
+    # rows, so each class gets a (0, 0) array and training names the first
+    # empty class instead of failing in numpy.
+    records = planted_dataset(6, 30, seed=1)
+    windows = class_windows(records, half_width)
+    for c in CLASS_ORDER:
+        assert windows[c].shape == (0, 0)
+        assert windows[c].dtype == np.intp
+    with pytest.raises(ClassHasNoData,
+                       match="^class H has no training windows$"):
+        train_models(records, half_width=half_width)
+
+
 def test_baum_welch_takes_a_window_array_as_its_rows():
     windows = class_windows(planted_dataset(12, 40, seed=9), half_width=3)
     for offset, c in enumerate(CLASS_ORDER):
