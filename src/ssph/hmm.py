@@ -9,10 +9,12 @@ in the dtype of the log parameters it is given: in float64 it gives the
 same bits as :func:`viterbi` on each window, and the predictor also runs it
 in float32 to screen labels (see ``predictor._window_doubt``).
 
-The scaled recursions run in ``_EStep``, the one owner of their arrays: one
-set per equal-length batch of sequences, built once per likelihood or
-Baum-Welch call and refilled in place by every EM iteration. The E-step
-after the last re-estimation runs the forward pass only."""
+The scaled recursions are the ``forward`` and ``backward`` methods of
+``_EStep``, the one owner of their arrays: one set per equal-length batch of
+sequences, built once per likelihood or Baum-Welch call and refilled in
+place by every EM iteration. ``forward`` records its model, which
+``backward`` and ``counts`` then use. The E-step after the last
+re-estimation runs the forward pass only."""
 
 from __future__ import annotations
 
@@ -240,48 +242,6 @@ def sequence_score(model: Hmm, obs: Sequence[int]) -> float:
     return float(_window_scores(*_log_params(model), o, len(o))[0])
 
 
-def _scaled_forward(model: Hmm, emit: np.ndarray, alpha: np.ndarray,
-                    scale: np.ndarray) -> None:
-    """Scaled forward pass (Rabiner 1989, section V.A) over ``emit``, the
-    (states, length, batch) probability of each observed symbol under each
-    state. Fills ``alpha`` (shaped like ``emit``) with the alphas, normalized
-    to sum to 1 at each step, and ``scale`` (length, batch) with the scale
-    factors ``c``; ln P(obs) is the sum of ln c.
-
-    A step whose total mass is 0, or underflows double precision, gets
-    ``c = 0`` and all-zero alphas from then on: probability 0."""
-    np.multiply(model.initial[:, None], emit[:, 0], out=alpha[:, 0])
-    for t in range(emit.shape[1]):
-        a = alpha[:, t]
-        if t:
-            np.matmul(model.transition.T, alpha[:, t - 1], out=a)
-            a *= emit[:, t]
-        c = a.sum(axis=0, out=scale[t])
-        a /= np.where(c > 0.0, c, 1.0)
-
-
-def _scaled_backward(model: Hmm, emit: np.ndarray, alpha: np.ndarray,
-                     scale: np.ndarray, beta: np.ndarray,
-                     nxt: np.ndarray) -> None:
-    """Backward pass matching :func:`_scaled_forward`, divided by the same
-    scale factors, so that alpha * beta is the state posterior. ``scale``
-    must be positive, as it is when every sequence is possible. Fills ``beta``
-    (shaped like ``alpha``) and ``nxt`` (states, length-1, batch) with the
-    term ``e(t+1) * beta(t+1) / c(t+1)`` of each step, which the transition
-    counts reuse.
-
-    Beta is set to 0 wherever alpha is 0. The scaling bounds beta only for
-    states the forward pass reaches; an unreachable state's beta could grow
-    without limit and turn ``0 * inf`` into NaN. Zeroing it is exact: if
-    alpha(t+1, j) = 0 then a(i, j) e_j(o_t+1) = 0 for every i with
-    alpha(t, i) > 0, so no reachable beta and no posterior changes."""
-    np.greater(alpha, 0.0, out=beta)
-    for t in range(emit.shape[1] - 2, -1, -1):
-        term = np.multiply(emit[:, t + 1], beta[:, t + 1], out=nxt[:, t])
-        term /= scale[t + 1]
-        beta[:, t] *= model.transition @ term
-
-
 def forward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
     """ln P(obs | model), summing over all state paths with the scaled forward
     recursion. -inf if the probability is 0, also when a step's total mass
@@ -297,25 +257,26 @@ def backward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
     e_step = _EStep(model.num_states, [_check_obs(model, obs)[None]])
     if e_step.forward(model) == -math.inf:
         return -math.inf
-    [(_, emit, alpha, beta, nxt, scale, _)] = e_step._work
-    _scaled_backward(model, emit, alpha, scale, beta, nxt)
+    [(emit, beta, scale)] = e_step.backward()
     first = model.initial @ (emit[:, 0, 0] * beta[:, 0, 0])
     with np.errstate(divide="ignore"):  # ln 0 = -inf: probability 0
         return float(np.log(np.append(scale[1:], first)).sum())
 
 
 class _EStep:
-    """The scaled forward and backward passes of one :func:`baum_welch` or
-    likelihood call, over equal-length batches of sequences. :meth:`forward`
-    gives the log-likelihood of the data, -inf if a sequence has probability
-    0; :meth:`counts` then gives the expected counts from the lattices it
-    left, if that was finite, so a caller that needs only the likelihood
-    skips the backward pass. The working arrays of each batch are allocated
-    once, here, and every call refills them in place; an iteration allocates
-    only per-step (states, batch) vectors. Each call builds its own, so
-    concurrent calls share nothing."""
+    """The scaled forward and backward passes (Rabiner 1989, section V.A)
+    of one :func:`baum_welch` or likelihood call, over equal-length batches
+    of sequences. :meth:`forward` gives the log-likelihood of the data under
+    a model, -inf if a sequence has probability 0; :meth:`counts` then gives
+    that model's expected counts from the lattices it left, if that was
+    finite, so a caller that needs only the likelihood skips the backward
+    pass. The working arrays of each batch are allocated once, here, and
+    every call refills them in place; an iteration allocates only per-step
+    (states, batch) vectors. Each call builds its own, so concurrent calls
+    share nothing."""
 
     def __init__(self, num_states: int, batches: list[np.ndarray]) -> None:
+        self._model: Hmm | None = None
         self._work = []
         for obs in batches:
             batch, length = obs.shape
@@ -326,34 +287,67 @@ class _EStep:
                 np.empty(lattice),            # alpha
                 np.empty(lattice),            # beta, then the posteriors
                 np.empty((num_states, length - 1, batch)),  # e * beta / c
-                np.empty((length, batch)),    # scale factors
+                np.empty((length, batch)),    # scale factors c
                 np.empty((length, batch)),    # their logs
             ))
 
     def forward(self, model: Hmm) -> float:
-        """Total log-likelihood of the data under ``model``; -inf if a
-        sequence has probability 0, which includes a step whose total mass
-        underflows double precision."""
+        """Total log-likelihood of the data under ``model``, which
+        :meth:`backward` and :meth:`counts` then use. Each step's alphas are
+        normalized to sum to 1 by its scale factor ``c``, and the
+        log-likelihood is the sum of ln c. A step whose total mass is 0, or
+        underflows double precision, gets ``c = 0`` and all-zero alphas from
+        then on, so the total is -inf: probability 0."""
+        self._model = model
         total_ll = 0.0
-        for steps, obs_emit, alpha, _, _, scale, log_scale in self._work:
+        for steps, emit, alpha, _, _, scale, log_scale in self._work:
             # Symbols were checked when the batches were built.
-            np.take(model.emission, steps, axis=1, out=obs_emit, mode="clip")
-            _scaled_forward(model, obs_emit, alpha, scale)
+            np.take(model.emission, steps, axis=1, out=emit, mode="clip")
+            np.multiply(model.initial[:, None], emit[:, 0], out=alpha[:, 0])
+            for t in range(emit.shape[1]):
+                a = alpha[:, t]
+                if t:
+                    np.matmul(model.transition.T, alpha[:, t - 1], out=a)
+                    a *= emit[:, t]
+                c = a.sum(axis=0, out=scale[t])
+                a /= np.where(c > 0.0, c, 1.0)
             with np.errstate(divide="ignore"):  # ln 0 = -inf: probability 0
                 total_ll += float(np.log(scale, out=log_scale).sum())
         return total_ll
 
-    def counts(self, model: Hmm
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def backward(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Backward pass of the last :meth:`forward`, divided by the same
+        scale factors, so that alpha * beta is the state posterior. The
+        scale factors must be positive, as they are when every sequence is
+        possible. Returns the emission probabilities, betas and scale
+        factors of each batch, and leaves the term ``e(t+1) * beta(t+1) /
+        c(t+1)`` of each step for the transition counts.
+
+        Beta is set to 0 wherever alpha is 0. The scaling bounds beta only
+        for states the forward pass reaches; an unreachable state's beta
+        could grow without limit and turn ``0 * inf`` into NaN. Zeroing it
+        is exact: if alpha(t+1, j) = 0 then a(i, j) e_j(o_t+1) = 0 for every
+        i with alpha(t, i) > 0, so no reachable beta and no posterior
+        changes."""
+        transition = self._model.transition
+        for _, emit, alpha, beta, nxt, scale, _ in self._work:
+            np.greater(alpha, 0.0, out=beta)
+            for t in range(emit.shape[1] - 2, -1, -1):
+                term = np.multiply(emit[:, t + 1], beta[:, t + 1], out=nxt[:, t])
+                term /= scale[t + 1]
+                beta[:, t] *= transition @ term
+        return [(e, b, c) for _, e, _, b, _, c, _ in self._work]
+
+    def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Expected start/transition/emission counts of the training data
-        under ``model``, which the last :meth:`forward` call must have
-        been given."""
+        under the model of the last :meth:`forward`."""
+        model = self._model
         n, m = model.num_states, model.alphabet_size
         start = np.zeros(n)
         trans = np.zeros((n, n))
         emit = np.zeros((n, m))
-        for steps, obs_emit, alpha, beta, nxt, scale, _ in self._work:
-            _scaled_backward(model, obs_emit, alpha, scale, beta, nxt)
+        self.backward()
+        for steps, _, alpha, beta, nxt, _, _ in self._work:
             gamma = np.multiply(alpha, beta, out=beta)  # state posteriors
             start += gamma[:, 0].sum(axis=1)
             symbols = steps.reshape(-1)
@@ -432,7 +426,7 @@ def baum_welch(model: Hmm, training: Iterable[Sequence[int]],
     for _ in range(max_iters):
         # The counts of the model after the last re-estimation are never
         # used, so its E-step runs the forward pass only.
-        current = _reestimate(current, *e_step.counts(current), pseudocount)
+        current = _reestimate(current, *e_step.counts(), pseudocount)
         ll = log_likelihood(current)
         trace.append(ll)
         if ll - ll_prev < tol:

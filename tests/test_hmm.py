@@ -32,7 +32,7 @@ def run_e_step(e_step, model):
     """The expected counts and log-likelihood of ``model``: ``forward`` and
     then ``counts``, the two passes in the order ``baum_welch`` runs them."""
     total_ll = e_step.forward(model)
-    return (*e_step.counts(model), total_ll)
+    return (*e_step.counts(), total_ll)
 
 
 def expected_counts(model, batches):
