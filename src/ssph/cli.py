@@ -29,7 +29,7 @@ def _check_flags(args: argparse.Namespace) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> None:
-    records = parse_labeled_dataset(Path(args.data).read_text(encoding="utf-8"))
+    records = parse_labeled_dataset(Path(args.data).read_text("utf-8-sig"))
     models, traces = train_models(
         records, num_states=args.states, half_width=args.window,
         max_iters=args.iters, tol=args.tol, seed=args.seed)
@@ -45,7 +45,7 @@ def cmd_train(args: argparse.Namespace) -> None:
 
 def cmd_predict(args: argparse.Namespace) -> None:
     models = read_models(args.models)
-    records = parse_fasta(Path(args.fasta).read_text(encoding="utf-8"))
+    records = parse_fasta(Path(args.fasta).read_text("utf-8-sig"))
     labels = predict_structures(models, (rec.sequence for rec in records),
                                 half_width=args.window,
                                 boundary_label=args.boundary_label)
@@ -54,8 +54,8 @@ def cmd_predict(args: argparse.Namespace) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> None:
-    preds = parse_label_records(Path(args.pred).read_text(encoding="utf-8"))
-    truths = parse_label_records(Path(args.truth).read_text(encoding="utf-8"))
+    preds = parse_label_records(Path(args.pred).read_text("utf-8-sig"))
+    truths = parse_label_records(Path(args.truth).read_text("utf-8-sig"))
     if len(preds) != len(truths):
         raise RecordMismatch(f"{len(preds)} prediction records vs "
                              f"{len(truths)} truth records")

@@ -12,8 +12,11 @@ in float32 to screen labels (see ``predictor._window_doubt``).
 The scaled recursions are the ``forward`` and ``backward`` methods of
 ``_EStep``, the one owner of their arrays: one set per equal-length batch of
 sequences, built once per likelihood or Baum-Welch call and refilled in
-place by every EM iteration. ``forward`` records its model, which
-``backward`` and ``counts`` then use. The E-step after the last
+place by every EM iteration. ``_EStep`` takes a model and the raw sequences,
+and checks and groups them itself; the emission gather of ``forward`` clips
+instead of checking again, so it relies on every model it runs on having
+the alphabet they were checked against. ``forward`` records its model,
+which ``backward`` and ``counts`` then use. The E-step after the last
 re-estimation runs the forward pass only."""
 
 from __future__ import annotations
@@ -246,15 +249,14 @@ def forward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
     """ln P(obs | model), summing over all state paths with the scaled forward
     recursion. -inf if the probability is 0, also when a step's total mass
     underflows double precision."""
-    e_step = _EStep(model.num_states, [_check_obs(model, obs)[None]])
-    return e_step.forward(model)
+    return _EStep(model, [obs]).forward(model)
 
 
 def backward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
     """ln P(obs | model) via the backward recursion, scaled by the forward
     pass's factors; agrees with the forward value up to roundoff, and is -inf
     where that is."""
-    e_step = _EStep(model.num_states, [_check_obs(model, obs)[None]])
+    e_step = _EStep(model, [obs])
     if e_step.forward(model) == -math.inf:
         return -math.inf
     [(emit, beta, scale)] = e_step.backward()
@@ -265,28 +267,34 @@ def backward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
 
 class _EStep:
     """The scaled forward and backward passes (Rabiner 1989, section V.A)
-    of one :func:`baum_welch` or likelihood call, over equal-length batches
-    of sequences. :meth:`forward` gives the log-likelihood of the data under
-    a model, -inf if a sequence has probability 0; :meth:`counts` then gives
-    that model's expected counts from the lattices it left, if that was
-    finite, so a caller that needs only the likelihood skips the backward
-    pass. The working arrays of each batch are allocated once, here, and
-    every call refills them in place; an iteration allocates only per-step
-    (states, batch) vectors. Each call builds its own, so concurrent calls
-    share nothing."""
+    of one :func:`baum_welch` or likelihood call on ``training``, which is
+    checked against ``model`` and grouped into equal-length batches here by
+    :func:`_length_batches`; empty ``training`` raises
+    :class:`NoTrainingData`. Every model the passes later run on must have
+    the state count and alphabet of ``model``. :meth:`forward` gives the
+    log-likelihood of the data under a model, -inf if a sequence has
+    probability 0; :meth:`counts` then gives that model's expected counts
+    from the lattices it left, if that was finite, so a caller that needs
+    only the likelihood skips the backward pass. The working arrays of each
+    batch are allocated once, here, and every call refills them in place;
+    an iteration allocates only per-step (states, batch) vectors. Each call
+    builds its own, so concurrent calls share nothing."""
 
-    def __init__(self, num_states: int, batches: list[np.ndarray]) -> None:
+    def __init__(self, model: Hmm, training: Iterable[Sequence[int]]) -> None:
+        batches = _length_batches(model, training)
+        if not batches:
+            raise NoTrainingData("training collection is empty")
         self._model: Hmm | None = None
         self._work = []
         for obs in batches:
             batch, length = obs.shape
-            lattice = (num_states, length, batch)
+            lattice = (model.num_states, length, batch)
             self._work.append((
                 np.ascontiguousarray(obs.T),  # (length, batch) symbols
                 np.empty(lattice),            # emission probabilities
                 np.empty(lattice),            # alpha
                 np.empty(lattice),            # beta, then the posteriors
-                np.empty((num_states, length - 1, batch)),  # e * beta / c
+                np.empty((model.num_states, length - 1, batch)),  # e * beta / c
                 np.empty((length, batch)),    # scale factors c
                 np.empty((length, batch)),    # their logs
             ))
@@ -301,7 +309,8 @@ class _EStep:
         self._model = model
         total_ll = 0.0
         for steps, emit, alpha, _, _, scale, log_scale in self._work:
-            # Symbols were checked when the batches were built.
+            # Symbols were checked against this alphabet in __init__, so
+            # clipping (half the time of the default mode) changes none.
             np.take(model.emission, steps, axis=1, out=emit, mode="clip")
             np.multiply(model.initial[:, None], emit[:, 0], out=alpha[:, 0])
             for t in range(emit.shape[1]):
@@ -404,15 +413,10 @@ def baum_welch(model: Hmm, training: Iterable[Sequence[int]],
         raise ValueError("tol must be > 0")
     if not 0 <= pseudocount < math.inf:  # also rejects NaN
         raise ValueError("pseudocount must be a finite number >= 0")
-    batches = _length_batches(model, training)
-    if not batches:
-        raise NoTrainingData("training collection is empty")
-
+    e_step = _EStep(model, training)
     trace: LikelihoodTrace = []
     if max_iters == 0:
         return model, trace
-
-    e_step = _EStep(model.num_states, batches)
 
     def log_likelihood(current: Hmm) -> float:
         ll = e_step.forward(current)

@@ -21,9 +21,10 @@ Probabilities are printed with ``repr`` so the underlying binary values
 round-trip exactly. A parsed block becomes a model through the checked
 ``Hmm`` constructor, and every error names the first offending line.
 
-All files are UTF-8. Only LF ends a line: one CR before it is dropped, so
-CRLF files read as LF files, and no other character (such as FF, NEL or
-U+2028) breaks a line.
+All files are UTF-8; when ``read_models`` or the command line reads a file,
+a leading byte-order mark is dropped. Only LF ends a line: one CR before it
+is dropped, so CRLF files read as LF files, and no other character (such as
+FF, NEL or U+2028) breaks a line.
 
 The labeled dataset format is three lines per record: a ``>id`` header, the
 residue sequence, and a label line (either 8-letter DSSP, which is reduced to
@@ -306,4 +307,4 @@ def write_models(models: ClassModelSet, destination: str | Path) -> None:
 
 
 def read_models(source: str | Path) -> ClassModelSet:
-    return parse_models(Path(source).read_text(encoding="utf-8"))
+    return parse_models(Path(source).read_text("utf-8-sig"))

@@ -531,3 +531,24 @@ def test_property_main_fails_on_bad_input_files_with_one_error_line(
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.endswith("\n") and "Traceback" not in err
         assert not any((tmp_path / name).exists() for name in outputs)
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_RUNS))
+def test_a_leading_byte_order_mark_is_dropped_from_every_input(
+        tmp_path, capsys, command):
+    # Each input file, copied with a UTF-8 byte-order mark in front, gives
+    # the plain run's exit code, stdout and output bytes.
+    argv, outputs = FUZZ_RUNS[command]
+    runs = []
+    for prefix in (b"", b"\xef\xbb\xbf"):
+        directory = tmp_path / f"prefix{len(prefix)}"
+        directory.mkdir()
+        names = {name: directory / name for name in [*VALID_INPUTS, *outputs]}
+        for name, text in VALID_INPUTS.items():
+            names[name].write_bytes(prefix + text.encode("utf-8"))
+        code = main([arg.format_map(names) for arg in argv])
+        runs.append((code, capsys.readouterr(),
+                     [names[name].read_bytes() for name in outputs
+                      if names[name].exists()]))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]

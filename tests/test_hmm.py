@@ -35,9 +35,9 @@ def run_e_step(e_step, model):
     return (*e_step.counts(), total_ll)
 
 
-def expected_counts(model, batches):
-    """One E-step of ``model`` over ``batches`` with freshly built buffers."""
-    return run_e_step(_EStep(model.num_states, batches), model)
+def expected_counts(model, training):
+    """One E-step of ``model`` over ``training`` with freshly built buffers."""
+    return run_e_step(_EStep(model, training), model)
 
 
 def uniform_hmm(num_states, alphabet_size):
@@ -396,10 +396,9 @@ def test_unreachable_state_keeps_long_likelihoods_finite(transition):
 def test_unreachable_state_trains_without_error(transition):
     model = unreachable_state_hmm(transition)
     seqs = [[0] * 400, [0] * 400, [0, 1, 2] * 100]
-    batches = _length_batches(model, seqs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = expected_counts(model, batches)
+        got = expected_counts(model, seqs)
         _, trace = baum_welch(model, seqs, max_iters=5, tol=1e-12)
     # Every path stays in state 0, so the counts are exact integers.
     emit = np.zeros((2, 21))
@@ -433,7 +432,7 @@ def map_objective_steps(model, sequences, pseudocount, iters):
     Baum-Welch steps produce. With a pseudocount floor, EM maximizes
     log-likelihood + pseudocount * (sum of ln of every model entry), the
     log-posterior under a Dirichlet prior; only that sum must not fall."""
-    e_step = _EStep(model.num_states, _length_batches(model, sequences))
+    e_step = _EStep(model, sequences)
     counts = run_e_step(e_step, model)
     lls, objectives = [], []
     for _ in range(iters):
@@ -565,7 +564,7 @@ def test_expected_counts_match_enumeration_on_small_cases():
         # Mixed lengths in one call, length 1 included, some repeated.
         lengths = [1, int(rng.integers(1, 8)), int(rng.integers(2, 8)), 4, 4]
         seqs = [sample(rng, model, k) for k in lengths]
-        got = expected_counts(model, _length_batches(model, seqs))
+        got = expected_counts(model, seqs)
         assert_counts_close(got, enumerated_counts(model, seqs), 1e-10)
 
 
@@ -579,7 +578,7 @@ def test_expected_counts_match_the_log_space_e_step():
             model = make(rng, num_states, alphabet_size)
             seqs = [sample(rng, model, k) for k in lengths]
             batches = _length_batches(model, seqs)
-            assert_counts_close(expected_counts(model, batches),
+            assert_counts_close(expected_counts(model, seqs),
                                 logspace_counts(model, batches), 1e-9)
 
 
@@ -611,7 +610,7 @@ def reference_cases(seed):
 def test_e_step_equals_the_allocating_e_step_bit_for_bit():
     for model, seqs in reference_cases(2121):
         batches = _length_batches(model, seqs)
-        assert_bit_identical(expected_counts(model, batches),
+        assert_bit_identical(expected_counts(model, seqs),
                              reference_estep._expected_counts(model, batches))
 
 
@@ -664,7 +663,7 @@ def test_reused_buffers_forget_the_previous_model():
     seqs = [sample(rng, b, k) for k in (1, 4, 4, 9, 9, 9, 16)]
     a = random_model(rng, 3, 6)  # no zeros: every sequence is possible
     batches = _length_batches(a, seqs)
-    e_step = _EStep(3, batches)
+    e_step = _EStep(a, seqs)
     first = run_e_step(e_step, a)
     assert_bit_identical(run_e_step(e_step, b),
                          reference_estep._expected_counts(b, batches))
@@ -678,7 +677,7 @@ def test_a_reused_e_step_allocates_no_lattice():
     # per-step vectors, far less than one (states, length, batch) lattice.
     model = new_random_hmm(3, 21, seed=6)
     windows = np.random.default_rng(6).integers(0, 21, size=(3000, 11))
-    e_step = _EStep(3, _length_batches(model, windows))
+    e_step = _EStep(model, windows)
     first = run_e_step(e_step, model)
     tracemalloc.start()
     try:
@@ -696,9 +695,9 @@ def test_zero_probability_is_minus_inf_at_the_first_and_at_a_later_e_step():
     for make in (single_symbol_hmm, underflowing_hmm):
         zero = make()
         possible = uniform_hmm(zero.num_states, zero.alphabet_size)
-        batches = _length_batches(zero, [[0, 0], [0, 1], [0]])
-        fresh = expected_counts(possible, batches)
-        e_step = _EStep(zero.num_states, batches)
+        seqs = [[0, 0], [0, 1], [0]]
+        fresh = expected_counts(possible, seqs)
+        e_step = _EStep(zero, seqs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for _ in range(2):
