@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -74,12 +75,21 @@ def cmd_eval(args: argparse.Namespace) -> None:
                    for records in (preds, truths))
     total = confusion(pred, truth)
     report = format_report(total)
+    # A failed run leaves no output: a failed CSV write removes the report
+    # file if this run created it, and stdout gets the report only after
+    # the CSV is written.
+    new_out = args.out and not os.path.lexists(args.out)
     if args.out:
         atomic_write_text(args.out, report)
-    else:
-        print(report, end="")
     if args.csv:
-        atomic_write_text(args.csv, format_report_csv(total))
+        try:
+            atomic_write_text(args.csv, format_report_csv(total))
+        except BaseException:
+            if new_out:
+                os.unlink(args.out)
+            raise
+    if not args.out:
+        print(report, end="")
 
 
 @functools.cache

@@ -3,11 +3,10 @@ forward/backward likelihoods and Baum-Welch re-estimation with the scaled
 recursions of Rabiner 1989 (Proc. IEEE 77(2), section V.A) in probability
 space.
 
-Window scores come from one max-product pass over every fixed-width window
-of a symbol run, which gathers each symbol's emissions once. The pass runs
-in the dtype of the log parameters it is given: in float64 it gives the
-same bits as :func:`viterbi` on each window, and the predictor also runs it
-in float32 to screen labels (see ``predictor._window_doubt``).
+:func:`viterbi` is the one max-product recursion here, and
+:func:`sequence_score` is its log-probability. The kernel that scores every
+window of a symbol run at once is ``predictor._window_scores``, beside the
+float32 rounding proof that rests on its order of additions.
 
 The scaled recursions are the ``forward`` and ``backward`` methods of
 ``_EStep``, the one owner of their arrays: one set per equal-length batch of
@@ -138,13 +137,6 @@ def _check_symbols(model: Hmm, arr: np.ndarray) -> np.ndarray:
     return arr.astype(np.intp, copy=False)
 
 
-def _check_obs(model: Hmm, obs: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(obs)
-    if arr.ndim != 1:
-        raise ValueError("observation sequence must be 1-D")
-    return _check_symbols(model, arr)
-
-
 def _length_batches(model: Hmm, training: Iterable[Sequence[int]]
                     ) -> list[np.ndarray]:
     """Training sequences stacked into one integer (batch, length) array per
@@ -168,7 +160,7 @@ def viterbi(model: Hmm, obs: Sequence[int]) -> ViterbiResult:
     Runs the max-product recursion in log-space; ties between equal-scoring
     predecessor states resolve to the lowest state index.
     """
-    o = _check_obs(model, obs)
+    [[o]] = _length_batches(model, [obs])
     log_init, log_trans, log_emit = _log_params(model)
     n, length = model.num_states, o.shape[0]
 
@@ -189,60 +181,9 @@ def viterbi(model: Hmm, obs: Sequence[int]) -> ViterbiResult:
     return ViterbiResult(float(delta[path[-1]]), path)
 
 
-def _window_scores(log_init: np.ndarray, log_trans: np.ndarray,
-                   log_emit: np.ndarray, symbols: np.ndarray,
-                   width: int) -> np.ndarray:
-    """Best-path log score of every ``width``-symbol window of the 1-D
-    integer run ``symbols``: entry ``s`` scores ``symbols[s:s + width]``.
-    It is the max-product recursion of :func:`viterbi` without the
-    backtrace, run on all windows at once in the dtype of ``log_emit``. In
-    float64 every score equals ``viterbi(...).log_prob`` bit for bit.
-
-    Each state's emissions are gathered once per symbol, and step ``t`` of
-    every window adds the contiguous slice ``emit[j][t:t + m]`` of them, so
-    no window array is built. ``delta`` holds one contiguous (m,) vector per
-    state, and each step takes each target state's maximum over its
-    predecessors as ``np.maximum`` over those vectors.
-
-    A step allocates nothing: the initial and transition log parameters
-    become 0-d arrays of the kernel's dtype once per call, and every add and
-    maximum writes into a ``new`` vector per state or one ``tmp``, allocated
-    per call; ``delta`` and ``new`` swap after each step. The 0-d operands
-    must have the kernel's dtype: a float64 one would turn a float32 add
-    into a float64 add, and a Python float costs more per add. This is
-    exact because it makes the same additions in the same order as a plain
-    allocating recursion, ``max`` returns one of its inputs, and the buffers
-    live for one call only, so the result shares memory with no input and
-    no other call."""
-    dtype = log_emit.dtype
-    m = len(symbols) - width + 1
-    states = range(len(log_init))
-    # Local names for what the step loop looks up on every ufunc call: on
-    # a few thousand windows the lookups cost about a tenth of the kernel.
-    add, maximum, rest = np.add, np.maximum, states[1:]
-    init = [np.array(v, dtype) for v in log_init]
-    trans = [[np.array(v, dtype) for v in row] for row in log_trans]
-    emit = [log_emit[j].take(symbols) for j in states]
-    delta = [add(init[j], emit[j][:m]) for j in states]
-    new = [np.empty(m, dtype) for _ in states]
-    tmp = np.empty(m, dtype)
-    for t in range(1, width):
-        for j in states:
-            best = add(delta[0], trans[0][j], new[j])
-            for i in rest:
-                maximum(best, add(delta[i], trans[i][j], tmp), out=best)
-            add(best, emit[j][t:t + m], best)
-        delta, new = new, delta
-    best = delta[0]
-    for d in delta[1:]:
-        maximum(best, d, out=best)
-    return best
-
-
 def sequence_score(model: Hmm, obs: Sequence[int]) -> float:
     """Log-probability of the single best state path (the window score)."""
-    o = _check_obs(model, obs)
-    return float(_window_scores(*_log_params(model), o, len(o))[0])
+    return viterbi(model, obs).log_prob
 
 
 def forward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:

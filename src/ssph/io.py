@@ -68,18 +68,22 @@ class LabeledRecord:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write via a temp file and rename, so failures leave no partial file.
-    The file gets the permissions a plain ``open(path, "w")`` would give."""
-    path = Path(path)
-    tmp = path.parent / f"{path.name}.{os.urandom(6).hex()}.tmp"
-    # O_EXCL never opens an existing file; mode 0o666 is masked by the umask.
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    The file gets the permissions a plain ``open(path, "w")`` would give.
+    An :class:`OSError` names ``path`` as given, never the temp file."""
+    target = Path(path)
+    tmp = target.parent / f"{target.name}.{os.urandom(6).hex()}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        # O_EXCL never opens an existing file; the umask masks mode 0o666.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
 
 
 def _lines(text: str) -> list[str]:

@@ -9,9 +9,15 @@ residue string and scores every window of it in slices of
 slice over the slice's residues, so memory is a few bytes per residue plus
 one slice. :func:`predict_structure` is its one-sequence form.
 
-The passes run in float32, and a rounding bound proves which windows'
-labels equal those of float64 scores; only the other windows are scored
-again in float64, so every label is the float64 label bit for bit.
+This module owns the window kernel, :func:`_window_scores`: one
+max-product pass over every fixed-width window of a symbol run, which
+gathers each symbol's emissions once. The pass runs in the dtype of the log
+parameters it is given; in float64 it gives the same bits as
+:func:`ssph.hmm.viterbi` on each window. The passes run in float32 first,
+and a rounding bound (:func:`_window_doubt`, which rests on the kernel's
+order of additions) proves which windows' labels equal those of float64
+scores; only the other windows are scored again in float64, so every label
+is the float64 label bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 from .dssp import CLASS_ORDER
 from .errors import EmptySequence
-from .hmm import Hmm, _log_params, _window_scores
+from .hmm import Hmm, _log_params
 from .hmm import sequence_score  # noqa: F401 (perfbench traces it here)
 
 # Residue alphabet: the 20 canonical amino acids plus 'X' for anything else.
@@ -161,6 +167,56 @@ def _window_doubt(first: np.ndarray, second: np.ndarray, third: np.ndarray,
     runner = np.maximum(np.minimum(first, second), np.minimum(high, third))
     return ((runner * np.float64((1 - kappa) / (1 + kappa)) >= best)
             & (best > -math.inf))
+
+
+def _window_scores(log_init: np.ndarray, log_trans: np.ndarray,
+                   log_emit: np.ndarray, symbols: np.ndarray,
+                   width: int) -> np.ndarray:
+    """Best-path log score of every ``width``-symbol window of the 1-D
+    integer run ``symbols``: entry ``s`` scores ``symbols[s:s + width]``.
+    It is the max-product recursion of :func:`viterbi` without the
+    backtrace, run on all windows at once in the dtype of ``log_emit``. In
+    float64 every score equals ``viterbi(...).log_prob`` bit for bit.
+
+    Each state's emissions are gathered once per symbol, and step ``t`` of
+    every window adds the contiguous slice ``emit[j][t:t + m]`` of them, so
+    no window array is built. ``delta`` holds one contiguous (m,) vector per
+    state, and each step takes each target state's maximum over its
+    predecessors as ``np.maximum`` over those vectors.
+
+    A step allocates nothing: the initial and transition log parameters
+    become 0-d arrays of the kernel's dtype once per call, and every add and
+    maximum writes into a ``new`` vector per state or one ``tmp``, allocated
+    per call; ``delta`` and ``new`` swap after each step. The 0-d operands
+    must have the kernel's dtype: a float64 one would turn a float32 add
+    into a float64 add, and a Python float costs more per add. This is
+    exact because it makes the same additions in the same order as a plain
+    allocating recursion, ``max`` returns one of its inputs, and the buffers
+    live for one call only, so the result shares memory with no input and
+    no other call."""
+    dtype = log_emit.dtype
+    m = len(symbols) - width + 1
+    states = range(len(log_init))
+    # Local names for what the step loop looks up on every ufunc call: on
+    # a few thousand windows the lookups cost about a tenth of the kernel.
+    add, maximum, rest = np.add, np.maximum, states[1:]
+    init = [np.array(v, dtype) for v in log_init]
+    trans = [[np.array(v, dtype) for v in row] for row in log_trans]
+    emit = [log_emit[j].take(symbols) for j in states]
+    delta = [add(init[j], emit[j][:m]) for j in states]
+    new = [np.empty(m, dtype) for _ in states]
+    tmp = np.empty(m, dtype)
+    for t in range(1, width):
+        for j in states:
+            best = add(delta[0], trans[0][j], new[j])
+            for i in rest:
+                maximum(best, add(delta[i], trans[i][j], tmp), out=best)
+            add(best, emit[j][t:t + m], best)
+        delta, new = new, delta
+    best = delta[0]
+    for d in delta[1:]:
+        maximum(best, d, out=best)
+    return best
 
 
 def _label_windows(screen: list, exact: list, residues: str, width: int

@@ -1,6 +1,7 @@
 """End-to-end command line runs against temporary files."""
 
 import contextlib
+import errno
 import io
 import os
 import subprocess
@@ -363,6 +364,53 @@ def test_eval_writes_report_and_csv_files(tmp_path):
     assert code == 0
     assert "Q3: 1.0000" in report.read_text(encoding="utf-8")
     assert csv.read_text(encoding="utf-8").startswith("true\\pred,H,E,C")
+
+
+def missing_path_error(path):
+    return (f"error: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: "
+            f"{str(path)!r}\n")
+
+
+@pytest.mark.parametrize("bad, good", [("csv", "out"), ("csv", None),
+                                       ("out", "csv")])
+def test_a_failed_eval_write_leaves_no_output_and_prints_no_report(
+        tmp_path, capsys, bad, good):
+    # README: a failed run leaves nothing behind. An output in a missing
+    # directory fails the run, which then leaves neither the other output
+    # file nor a report on stdout.
+    labels = format_label_records([("a", "HHEECC")])
+    (tmp_path / "p.txt").write_text(labels, encoding="utf-8")
+    (tmp_path / "t.txt").write_text(labels, encoding="utf-8")
+    missing = tmp_path / "nodir" / f"report.{bad}"
+    argv = ["eval", "--pred", str(tmp_path / "p.txt"),
+            "--truth", str(tmp_path / "t.txt"), f"--{bad}", str(missing)]
+    if good:
+        argv += [f"--{good}", str(tmp_path / f"report.{good}")]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", missing_path_error(missing))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.txt", "t.txt"]
+
+
+def test_predict_output_errors_name_the_given_path(tmp_path, capsys):
+    # Neither a missing directory nor an --out that is a directory shows
+    # the temp file in the error line, and neither leaves the temp file.
+    model_path = tmp_path / "models.txt"
+    write_models(stub_model_set(), model_path)
+    fasta = tmp_path / "in.fa"
+    fasta.write_text(">s\nACDEF\n", encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    for out, err in [
+            (tmp_path / "nodir" / "x.txt", missing_path_error(
+                tmp_path / "nodir" / "x.txt")),
+            (tmp_path / "adir", f"error: [Errno {errno.EISDIR}] "
+                                f"{os.strerror(errno.EISDIR)}: "
+                                f"{str(tmp_path / 'adir')!r}\n")]:
+        assert main(["predict", "--models", str(model_path), "--fasta",
+                     str(fasta), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["adir", "in.fa", "models.txt"]
+        assert not any((tmp_path / "adir").iterdir())
 
 
 def test_parser_rejects_unknown_command():

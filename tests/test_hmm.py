@@ -24,8 +24,8 @@ from ssph import (Hmm, backward_log_likelihood, baum_welch,
                   viterbi)
 from ssph.errors import EmptyObservation, NoTrainingData, SymbolOutOfRange
 from ssph.hmm import (ROW_SUM_TOL, _check_stochastic, _EStep,
-                      _length_batches, _log_params, _reestimate,
-                      _window_scores)
+                      _length_batches, _log_params, _reestimate)
+from ssph.predictor import _window_scores
 
 
 def run_e_step(e_step, model):
@@ -300,7 +300,8 @@ def test_backward_agrees_with_forward_on_long_sequences():
         assert abs(f - b) <= 1e-8
 
 
-@pytest.mark.parametrize("fn", [forward_log_likelihood, backward_log_likelihood])
+@pytest.mark.parametrize("fn", [forward_log_likelihood, backward_log_likelihood,
+                                viterbi, sequence_score])
 def test_likelihood_input_validation(fn):
     model = uniform_hmm(2, 4)
     with pytest.raises(EmptyObservation):

@@ -15,7 +15,8 @@ from ssph import (ALPHABET, ClassModelSet, encode_residues, fold_residues,
                   new_random_hmm, planted_dataset, planted_models,
                   predict_structure, predict_structures, predictor, viterbi)
 from ssph.errors import EmptySequence
-from ssph.hmm import _log_params, _window_scores
+from ssph.hmm import _log_params
+from ssph.predictor import _window_scores
 
 FIXTURE_SEQUENCE = "ACDEIKLMRSTV"
 # Expected labels for the stub models with half_width 2, frozen from the
