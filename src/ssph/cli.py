@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
-from pathlib import Path
 
 from .dssp import CLASS_ORDER
 from .errors import LengthMismatch, RecordMismatch, SsphError
 from .io import (atomic_write_text, format_label_records, parse_fasta,
                  parse_label_records, parse_labeled_dataset, read_models,
-                 write_models)
+                 read_text, write_models, write_texts)
 from .metrics import confusion, format_report, format_report_csv
 from .predictor import predict_structures
 from .predictor import predict_structure  # noqa: F401 (perfbench traces it here)
@@ -30,7 +28,7 @@ def _check_flags(args: argparse.Namespace) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> None:
-    records = parse_labeled_dataset(Path(args.data).read_text("utf-8-sig"))
+    records = parse_labeled_dataset(read_text(args.data))
     models, traces = train_models(
         records, num_states=args.states, half_width=args.window,
         max_iters=args.iters, tol=args.tol, seed=args.seed)
@@ -46,7 +44,7 @@ def cmd_train(args: argparse.Namespace) -> None:
 
 def cmd_predict(args: argparse.Namespace) -> None:
     models = read_models(args.models)
-    records = parse_fasta(Path(args.fasta).read_text("utf-8-sig"))
+    records = parse_fasta(read_text(args.fasta))
     labels = predict_structures(models, (rec.sequence for rec in records),
                                 half_width=args.window,
                                 boundary_label=args.boundary_label)
@@ -55,8 +53,8 @@ def cmd_predict(args: argparse.Namespace) -> None:
 
 
 def cmd_eval(args: argparse.Namespace) -> None:
-    preds = parse_label_records(Path(args.pred).read_text("utf-8-sig"))
-    truths = parse_label_records(Path(args.truth).read_text("utf-8-sig"))
+    preds = parse_label_records(read_text(args.pred))
+    truths = parse_label_records(read_text(args.truth))
     if len(preds) != len(truths):
         raise RecordMismatch(f"{len(preds)} prediction records vs "
                              f"{len(truths)} truth records")
@@ -75,19 +73,11 @@ def cmd_eval(args: argparse.Namespace) -> None:
                    for records in (preds, truths))
     total = confusion(pred, truth)
     report = format_report(total)
-    # A failed run leaves no output: a failed CSV write removes the report
-    # file if this run created it, and stdout gets the report only after
-    # the CSV is written.
-    new_out = args.out and not os.path.lexists(args.out)
-    if args.out:
-        atomic_write_text(args.out, report)
+    # A failed run changes no output file and prints no report.
+    outputs = [(args.out, report)] if args.out else []
     if args.csv:
-        try:
-            atomic_write_text(args.csv, format_report_csv(total))
-        except BaseException:
-            if new_out:
-                os.unlink(args.out)
-            raise
+        outputs.append((args.csv, format_report_csv(total)))
+    write_texts(outputs)
     if not args.out:
         print(report, end="")
 

@@ -21,10 +21,11 @@ Probabilities are printed with ``repr`` so the underlying binary values
 round-trip exactly. A parsed block becomes a model through the checked
 ``Hmm`` constructor, and every error names the first offending line.
 
-All files are UTF-8; when ``read_models`` or the command line reads a file,
-a leading byte-order mark is dropped. Only LF ends a line: one CR before it
-is dropped, so CRLF files read as LF files, and no other character (such as
-FF, NEL or U+2028) breaks a line.
+This module reads and writes every file of a run: ``read_text`` reads each
+input, and ``write_texts`` writes a run's outputs all or nothing. All files
+are UTF-8, and a leading byte-order mark is dropped when one is read. Only
+LF ends a line: one CR before it is dropped, so CRLF files read as LF files,
+and no other character (such as FF, NEL or U+2028) breaks a line.
 
 The labeled dataset format is three lines per record: a ``>id`` header, the
 residue sequence, and a label line (either 8-letter DSSP, which is reduced to
@@ -36,6 +37,7 @@ every record starts with a non-empty ``>id``, and data before it is an error.
 
 from __future__ import annotations
 
+import errno
 import os
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -66,24 +68,48 @@ class LabeledRecord:
     labels: str
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a temp file and rename, so failures leave no partial file.
-    The file gets the permissions a plain ``open(path, "w")`` would give.
-    An :class:`OSError` names ``path`` as given, never the temp file."""
-    target = Path(path)
-    tmp = target.parent / f"{target.name}.{os.urandom(6).hex()}.tmp"
+def read_text(path: str | Path) -> str:
+    """The text of the UTF-8 file ``path``, without a leading byte-order
+    mark."""
+    return Path(path).read_text("utf-8-sig")
+
+
+def write_texts(outputs: list[tuple[str | Path, str]]) -> None:
+    """Write each ``(path, text)`` pair, all or nothing. A path that is a
+    directory is refused first (a symlink to one is replaced, as
+    ``os.replace`` does). Each text then goes to a new temp file beside
+    its path, and the temp files are renamed in order only once all are
+    written, so a failure before the renames changes no path. Each file
+    gets the permissions a plain ``open(path, "w")`` would give. On any
+    failure the temp files left are removed, and an :class:`OSError`
+    names the path as given, never a temp file."""
+    staged: list[tuple[Path, str | Path]] = []  # (temp file, path)
     try:
-        # O_EXCL never opens an existing file; the umask masks mode 0o666.
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
+        for path, _ in outputs:
+            if os.path.isdir(path) and not os.path.islink(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path, text in outputs:
+            target = Path(path)
+            tmp = target.parent / f"{target.name}.{os.urandom(6).hex()}.tmp"
+            # O_EXCL never opens an existing file; the umask masks 0o666.
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
-            os.replace(tmp, target)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        while staged:
+            tmp, path = staged[0]
+            os.replace(tmp, path)
+            staged.pop(0)
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
+    finally:
+        for tmp, _ in staged:
+            os.unlink(tmp)
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as ``write_texts`` writes one output."""
+    write_texts([(path, text)])
 
 
 def _lines(text: str) -> list[str]:
@@ -311,4 +337,4 @@ def write_models(models: ClassModelSet, destination: str | Path) -> None:
 
 
 def read_models(source: str | Path) -> ClassModelSet:
-    return parse_models(Path(source).read_text("utf-8-sig"))
+    return parse_models(read_text(source))

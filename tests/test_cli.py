@@ -371,24 +371,100 @@ def missing_path_error(path):
             f"{str(path)!r}\n")
 
 
-@pytest.mark.parametrize("bad, good", [("csv", "out"), ("csv", None),
-                                       ("out", "csv")])
+def directory_error(path):
+    return (f"error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+            f"{str(path)!r}\n")
+
+
+def tree(root):
+    """Every path under ``root``, with its bytes if it is a file."""
+    return {p.relative_to(root): p.read_bytes() if p.is_file() else None
+            for p in root.rglob("*")}
+
+
+@pytest.mark.parametrize("bad, good, target, old", [
+    pytest.param("csv", "out", "nodir", False, id="csv-out"),
+    pytest.param("csv", None, "nodir", False, id="csv-None"),
+    pytest.param("out", "csv", "nodir", False, id="out-csv"),
+    pytest.param("csv", "out", "nodir", True, id="csv-nodir-old-out"),
+    pytest.param("csv", "out", "dir", True, id="csv-dir-old-out"),
+    pytest.param("out", "csv", "dir", True, id="out-dir-old-csv")])
 def test_a_failed_eval_write_leaves_no_output_and_prints_no_report(
-        tmp_path, capsys, bad, good):
-    # README: a failed run leaves nothing behind. An output in a missing
-    # directory fails the run, which then leaves neither the other output
-    # file nor a report on stdout.
+        tmp_path, capsys, bad, good, target, old):
+    # README: a failed run changes no output file, and eval writes both
+    # files or neither. An output in a missing directory, or one that is a
+    # directory, fails the run, which then leaves the other output as it
+    # was (absent, or holding its old bytes), no temp file and no report
+    # on stdout.
     labels = format_label_records([("a", "HHEECC")])
     (tmp_path / "p.txt").write_text(labels, encoding="utf-8")
     (tmp_path / "t.txt").write_text(labels, encoding="utf-8")
-    missing = tmp_path / "nodir" / f"report.{bad}"
+    if target == "nodir":
+        bad_path = tmp_path / "nodir" / f"report.{bad}"
+        err = missing_path_error(bad_path)
+    else:
+        bad_path = tmp_path / f"report.{bad}"
+        bad_path.mkdir()
+        err = directory_error(bad_path)
     argv = ["eval", "--pred", str(tmp_path / "p.txt"),
-            "--truth", str(tmp_path / "t.txt"), f"--{bad}", str(missing)]
+            "--truth", str(tmp_path / "t.txt"), f"--{bad}", str(bad_path)]
     if good:
         argv += [f"--{good}", str(tmp_path / f"report.{good}")]
+        if old:
+            (tmp_path / f"report.{good}").write_bytes(b"OLD\r\n")
+    before = tree(tmp_path)
     assert main(argv) == 1
-    assert capsys.readouterr() == ("", missing_path_error(missing))
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.txt", "t.txt"]
+    assert capsys.readouterr() == ("", err)
+    assert tree(tmp_path) == before  # old bytes kept, no *.tmp left
+
+
+def test_eval_outputs_land_as_before(tmp_path, capsys):
+    # --out and --csv naming one path leave the CSV there, and an --out
+    # that is a symlink to a directory is replaced by the report.
+    labels = format_label_records([("a", "HHEECC")])
+    (tmp_path / "p.txt").write_text(labels, encoding="utf-8")
+    (tmp_path / "t.txt").write_text(labels, encoding="utf-8")
+    argv = ["eval", "--pred", str(tmp_path / "p.txt"),
+            "--truth", str(tmp_path / "t.txt")]
+    same = tmp_path / "same"
+    assert main(argv + ["--out", str(same), "--csv", str(same)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert same.read_text(encoding="utf-8").startswith("true\\pred,H,E,C")
+    (tmp_path / "adir").mkdir()
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "adir")
+    assert main(argv + ["--out", str(link)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert not link.is_symlink()
+    assert "Q3: 1.0000" in link.read_text(encoding="utf-8")
+    assert not any((tmp_path / "adir").iterdir())
+
+
+@pytest.mark.parametrize("command, flag", [("train", "--out"),
+                                           ("eval", "--out"),
+                                           ("eval", "--csv")])
+def test_output_errors_of_every_subcommand_name_the_given_path(
+        tmp_path, chains, capsys, command, flag):
+    # As for predict: an output in a missing directory or one that is a
+    # directory fails with the given path in the error line, and the run
+    # leaves every file as it was.
+    write_dataset(tmp_path / "train.txt", chains[:4])
+    labels = format_label_records([("a", "HHEECC")])
+    (tmp_path / "p.txt").write_text(labels, encoding="utf-8")
+    (tmp_path / "t.txt").write_text(labels, encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    argv = {"train": ["train", "--data", str(tmp_path / "train.txt"),
+                      "--iters", "0"],
+            "eval": ["eval", "--pred", str(tmp_path / "p.txt"),
+                     "--truth", str(tmp_path / "t.txt")]}[command]
+    before = tree(tmp_path)
+    for out, err in [
+            (tmp_path / "nodir" / "x.txt",
+             missing_path_error(tmp_path / "nodir" / "x.txt")),
+            (tmp_path / "adir", directory_error(tmp_path / "adir"))]:
+        assert main(argv + [flag, str(out)]) == 1
+        assert capsys.readouterr() == ("", err)
+        assert tree(tmp_path) == before
 
 
 def test_predict_output_errors_name_the_given_path(tmp_path, capsys):

@@ -19,7 +19,7 @@ from ssph import (ALPHABET, ClassModelSet, FastaRecord, Hmm, LabeledRecord,
                   planted_models, read_models, write_models)
 from ssph.errors import (EmptyRecord, LengthMismatch, MissingHeader,
                          ModelFormatError, SsphError, UnknownDsspCode)
-from ssph.io import atomic_write_text
+from ssph.io import atomic_write_text, write_texts
 
 
 def models_equal(a, b):
@@ -186,6 +186,16 @@ def test_atomic_write_text_failure_leaves_no_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         atomic_write_text(tmp_path / "out.txt", "\ud800")  # not encodable
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_texts_renames_nothing_when_a_later_text_fails(tmp_path):
+    # The first output already exists; the second text cannot be encoded,
+    # so the first keeps its bytes and no temp file is left.
+    (tmp_path / "a").write_bytes(b"OLD\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_texts([(tmp_path / "a", "NEW\n"), (tmp_path / "b", "\ud800")])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == \
+        {"a": b"OLD\n"}
 
 
 # ---------------------------------------------------------------- line breaks
