@@ -70,8 +70,12 @@ class LabeledRecord:
 
 def read_text(path: str | Path) -> str:
     """The text of the UTF-8 file ``path``, without a leading byte-order
-    mark."""
-    return Path(path).read_text("utf-8-sig")
+    mark. A file that is not UTF-8 raises :class:`ValueError` ending with
+    the path as given, as an :class:`OSError` message does."""
+    try:
+        return Path(path).read_text("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{exc}: {os.fspath(path)!r}") from None
 
 
 def write_texts(outputs: list[tuple[str | Path, str]]) -> None:
@@ -80,9 +84,11 @@ def write_texts(outputs: list[tuple[str | Path, str]]) -> None:
     ``os.replace`` does). Each text then goes to a new temp file beside
     its path, and the temp files are renamed in order only once all are
     written, so a failure before the renames changes no path. Each file
-    gets the permissions a plain ``open(path, "w")`` would give. On any
-    failure the temp files left are removed, and an :class:`OSError`
-    names the path as given, never a temp file."""
+    gets the permissions a plain ``open(path, "w")`` would give: those of
+    the regular file at its path (through a symlink too), if there is one,
+    else 0o666 less the umask. On any failure the temp files left are
+    removed, and an :class:`OSError` names the path as given, never a temp
+    file."""
     staged: list[tuple[Path, str | Path]] = []  # (temp file, path)
     try:
         for path, _ in outputs:
@@ -95,6 +101,8 @@ def write_texts(outputs: list[tuple[str | Path, str]]) -> None:
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                if os.path.isfile(path):  # keep an existing file's mode
+                    os.fchmod(fd, os.stat(path).st_mode & 0o777)
                 handle.write(text)
         while staged:
             tmp, path = staged[0]

@@ -3,11 +3,11 @@
 Each residue is classified by scoring the window centered on it under three
 class-specific HMMs (helix, strand, coil); the class whose model assigns the
 highest Viterbi path probability wins. :func:`predict_structures` labels
-many sequences at once: it joins those with a complete window into one
-residue string and scores every window of it in slices of
-:data:`CHUNK_WINDOWS` windows, one max-product pass per class model and
-slice over the slice's residues, so memory is a few bytes per residue plus
-one slice. :func:`predict_structure` is its one-sequence form.
+many sequences in one pass: it joins those with a complete window as it
+reads them and scores the join's windows in slices of :data:`CHUNK_WINDOWS`
+windows, one max-product pass per class model and slice over the slice's
+residues, so memory is one slice plus the sequences it spans and the
+labels. :func:`predict_structure` is its one-sequence form.
 
 This module owns the window kernel, :func:`_window_scores`: one
 max-product pass over every fixed-width window of a symbol run, which
@@ -23,7 +23,9 @@ is the float64 label bit for bit.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from collections import deque
+from itertools import chain
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -244,6 +246,56 @@ def _label_windows(screen: list, exact: list, residues: str, width: int
     return _TIE_BREAK_BYTES[labels].tobytes()
 
 
+def _record_labels(screen: list, exact: list, sequences: Iterable[str],
+                   half_width: int, boundary_label: str) -> Iterator[str]:
+    """Yield the labels of each of ``sequences`` in order, as
+    :func:`predict_structures` returns them, reading one sequence at a
+    time.
+
+    The folded sequences with a complete window make up the join: window
+    ``s`` of it is centered on its residue ``s + half_width``. Each
+    sequence is folded as it is read, and a long enough one is added to a
+    buffer of the join's residues from the next slice's first on. Every
+    :data:`CHUNK_WINDOWS` windows of the join are labelled by one
+    :func:`_label_windows` call as soon as the buffer holds them, and the
+    last, shorter slice once the input ends; a window that spans two
+    sequences is labelled and its label dropped. A sequence is yielded as
+    soon as its windows and those of every sequence before it are
+    labelled, so memory is one slice plus the sequences it spans."""
+    width = 2 * half_width + 1
+    span = CHUNK_WINDOWS + width - 1  # residues of a full slice
+    pending: deque[int] = deque()  # folded lengths of the unyielded records
+    # The join from the next slice's first residue on, the labels of the
+    # join's windows from the last slice labelled on, and where the first
+    # pending long record's windows start in them (past their end while the
+    # windows that span it and the record before are not yet labelled).
+    residues, labels, lead = "", "", 0
+    for sequence in chain(sequences, [None]):  # None: the input has ended
+        if sequence is not None:
+            folded = fold_residues(sequence)
+            if not folded:
+                raise EmptySequence("residue sequence is empty")
+            pending.append(len(folded))
+            residues += folded if len(folded) >= width else ""
+        start = 0
+        while len(residues) - start >= (width if sequence is None else span):
+            cut = min(lead, len(labels))  # labels yielded or dropped
+            labels = labels[cut:] + _label_windows(
+                screen, exact, residues[start:start + span], width).decode()
+            lead -= cut
+            start += CHUNK_WINDOWS
+        residues = residues[start:]
+        while pending and (pending[0] < width
+                           or lead + pending[0] - width < len(labels)):
+            n = pending.popleft()
+            if n < width:
+                yield boundary_label * n
+                continue
+            margin = boundary_label * half_width  # half_width < n here
+            yield margin + labels[lead:lead + n - width + 1] + margin
+            lead += n  # past its windows and those that span the next
+
+
 def predict_structures(models: ClassModelSet, sequences: Iterable[str],
                        half_width: int = 5, boundary_label: str = "C"
                        ) -> list[str]:
@@ -258,12 +310,11 @@ def predict_structures(models: ClassModelSet, sequences: Iterable[str],
     of ``fold_residues(sequence)``, which drops whitespace. ``sequences``
     must hold strings; a bare ``str`` raises :class:`TypeError`.
 
-    The folded sequences with a complete window are joined into one residue
-    string, whose window ``s`` is centered on its residue ``s + half_width``,
-    and its windows are scored in slices of :data:`CHUNK_WINDOWS`, one pass
-    per class model over every window of a slice; a window that spans two
-    sequences is scored and its label dropped. Memory is a few bytes per
-    input residue plus one slice's scoring arrays.
+    The sequences are read and labelled in one pass (:func:`_record_labels`):
+    those with a complete window are joined, and the join's windows are
+    scored in slices of :data:`CHUNK_WINDOWS`, one pass per class model over
+    every window of a slice. Memory is one slice's scoring arrays, the
+    sequences that slice spans and the returned labels.
     """
     if half_width < 1:
         raise ValueError("half_width must be >= 1")
@@ -273,28 +324,8 @@ def predict_structures(models: ClassModelSet, sequences: Iterable[str],
         raise TypeError("sequences must be an iterable of str, not a str")
     exact = [_log_params(models[label]) for label in TIE_BREAK]
     screen = [[a.astype(np.float32) for a in p] for p in exact]
-    folded = [fold_residues(sequence) for sequence in sequences]
-    if not all(folded):
-        raise EmptySequence("residue sequence is empty")
-    width = 2 * half_width + 1
-    residues = "".join(f for f in folded if len(f) >= width)
-    labels = bytearray()
-    for start in range(0, len(residues) - width + 1, CHUNK_WINDOWS):
-        labels += _label_windows(
-            screen, exact, residues[start:start + CHUNK_WINDOWS + width - 1],
-            width)
-    text = labels.decode("ascii")
-    out = []
-    offset = 0  # where each joined sequence's windows start in ``text``
-    for f in folded:
-        if len(f) < width:
-            out.append(boundary_label * len(f))
-        else:
-            margin = boundary_label * half_width  # half_width < len(f) here
-            out.append(margin + text[offset:offset + len(f) - width + 1]
-                       + margin)
-            offset += len(f)
-    return out
+    return list(_record_labels(screen, exact, sequences, half_width,
+                               boundary_label))
 
 
 def predict_structure(models: ClassModelSet, sequence: str,

@@ -4,6 +4,7 @@ import contextlib
 import errno
 import io
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -440,6 +441,27 @@ def test_eval_outputs_land_as_before(tmp_path, capsys):
     assert not any((tmp_path / "adir").iterdir())
 
 
+def test_eval_out_keeps_the_mode_of_an_existing_file(tmp_path, capsys):
+    # As ``open(path, "w")`` would: the new report keeps the old file's
+    # 0o600, where a new file would get 0o644 under this umask.
+    labels = format_label_records([("a", "HHEECC")])
+    (tmp_path / "p.txt").write_text(labels, encoding="utf-8")
+    (tmp_path / "t.txt").write_text(labels, encoding="utf-8")
+    report = tmp_path / "rep.txt"
+    report.write_bytes(b"OLD\n")
+    report.chmod(0o600)
+    old = os.umask(0o022)
+    try:
+        code = main(["eval", "--pred", str(tmp_path / "p.txt"),
+                     "--truth", str(tmp_path / "t.txt"),
+                     "--out", str(report)])
+    finally:
+        os.umask(old)
+    assert (code, capsys.readouterr()) == (0, ("", ""))
+    assert "Q3: 1.0000" in report.read_text(encoding="utf-8")
+    assert stat.S_IMODE(report.stat().st_mode) == 0o600
+
+
 @pytest.mark.parametrize("command, flag", [("train", "--out"),
                                            ("eval", "--out"),
                                            ("eval", "--csv")])
@@ -655,6 +677,30 @@ def test_property_main_fails_on_bad_input_files_with_one_error_line(
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.endswith("\n") and "Traceback" not in err
         assert not any((tmp_path / name).exists() for name in outputs)
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, arg[1:-1]) for command, (argv, _) in sorted(FUZZ_RUNS.items())
+    for arg in argv if arg[1:-1] in VALID_INPUTS])
+def test_an_input_that_is_not_utf8_is_named_in_the_error(tmp_path, capsys,
+                                                         command, name):
+    # One 0xff byte in the middle of an otherwise valid input: the run
+    # fails with one error line that ends with that file's path, prints
+    # nothing on stdout and writes no output.
+    argv, outputs = FUZZ_RUNS[command]
+    names = {name: tmp_path / name for name in [*VALID_INPUTS, *outputs]}
+    for each, text in VALID_INPUTS.items():
+        data = text.encode("utf-8")
+        if each == name:
+            data = data[:len(data) // 2] + b"\xff" + data[len(data) // 2:]
+        names[each].write_bytes(data)
+    assert main([arg.format_map(names) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff ")
+    assert err.endswith(f": {str(names[name])!r}\n")
+    assert err.count("\n") == 1
+    assert not any(names[output].exists() for output in outputs)
 
 
 @pytest.mark.parametrize("command", sorted(FUZZ_RUNS))

@@ -19,7 +19,7 @@ from ssph import (ALPHABET, ClassModelSet, FastaRecord, Hmm, LabeledRecord,
                   planted_models, read_models, write_models)
 from ssph.errors import (EmptyRecord, LengthMismatch, MissingHeader,
                          ModelFormatError, SsphError, UnknownDsspCode)
-from ssph.io import atomic_write_text, write_texts
+from ssph.io import atomic_write_text, read_text, write_texts
 
 
 def models_equal(a, b):
@@ -180,6 +180,38 @@ def test_atomic_write_text_mode_follows_umask(tmp_path, umask, mode):
         os.umask(old)
     assert stat.S_IMODE((tmp_path / "out.txt").stat().st_mode) == mode
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640], ids=["0o600", "0o640"])
+def test_write_texts_keeps_the_mode_of_an_existing_file(tmp_path, mode):
+    # As ``open(path, "w")`` does, under a umask that would give 0o644 to a
+    # new file; a symlink's target lends its mode, and the link is replaced.
+    (tmp_path / "a").write_text("OLD\n")
+    (tmp_path / "target").write_text("OLD\n")
+    (tmp_path / "link").symlink_to("target")
+    for name in ("a", "target"):
+        (tmp_path / name).chmod(mode)
+    old = os.umask(0o022)
+    try:
+        write_texts([(tmp_path / "a", "NEW\n"), (tmp_path / "link", "NEW\n")])
+    finally:
+        os.umask(old)
+    for name in ("a", "link"):
+        assert (tmp_path / name).read_text() == "NEW\n"
+        assert not (tmp_path / name).is_symlink()
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "link",
+                                                          "target"]
+
+
+def test_read_text_of_a_file_not_utf8_names_its_path(tmp_path):
+    path = tmp_path / "bad.fa"
+    path.write_bytes(b">a\nAC\xffDE\n")
+    with pytest.raises(ValueError) as excinfo:
+        read_text(path)
+    assert str(excinfo.value) == ("'utf-8' codec can't decode byte 0xff in "
+                                  "position 5: invalid start byte: "
+                                  f"{str(path)!r}")
 
 
 def test_atomic_write_text_failure_leaves_no_file(tmp_path):

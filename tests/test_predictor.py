@@ -447,6 +447,100 @@ def test_predict_structures_mixes_short_and_long_records_across_chunks(
     assert any(c.dtype == np.float64 for c in calls)
 
 
+def record_labels(models, sequences, half_width, boundary_label="C"):
+    """The generator behind :func:`predict_structures`, on ``models``."""
+    exact = [_log_params(models[label]) for label in predictor.TIE_BREAK]
+    screen = [[a.astype(np.float32) for a in p] for p in exact]
+    return predictor._record_labels(screen, exact, sequences, half_width,
+                                    boundary_label)
+
+
+class CountingReads:
+    """An iterator over ``items`` that counts the items read from it."""
+
+    def __init__(self, items):
+        self.items, self.reads = iter(items), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        item = next(self.items)
+        self.reads += 1
+        return item
+
+
+def reads_when_labelled(lengths, width, chunk_windows):
+    """For each record of folded ``lengths``, how many records have been read
+    when its labels and those of every record before it are known. A record
+    shorter than a window needs only itself read. A longer one needs the
+    slice that holds its last window of the join: a full slice as soon as
+    the long records read hold its residues, the last one once every
+    record is read."""
+    joined = np.cumsum([n if n >= width else 0 for n in lengths])
+    reads = []
+    for i, n in enumerate(lengths):
+        if n < width:
+            reads.append(i + 1)
+            continue
+        last = joined[i] - width  # the record's last window in the join
+        needed = (last // chunk_windows + 1) * chunk_windows + width - 1
+        reads.append(min(int(np.searchsorted(joined, needed)) + 1,
+                         len(lengths)))
+    return list(np.maximum.accumulate(reads))
+
+
+def test_record_labels_yields_the_first_record_before_reading_the_rest(
+        monkeypatch):
+    # Each record of 40 residues fills its own slices, so the first one's
+    # labels come out once it alone has been read.
+    monkeypatch.setattr(predictor, "CHUNK_WINDOWS", 4)
+    models = planted_models(0.05)
+    rng = np.random.default_rng(70)
+    seqs = ["".join(ALPHABET[i] for i in rng.integers(0, 21, 40))
+            for _ in range(50)]
+    source = CountingReads(seqs)
+    labels = record_labels(models, source, 2)
+    assert next(labels) == reference_predict(models, seqs[0], 2, "C")
+    assert source.reads == 1
+
+
+@pytest.mark.parametrize("chunk_windows", [1, 3, 8, 13])
+@pytest.mark.parametrize("half_width", [1, 2, 3])
+def test_record_labels_yields_each_record_as_soon_as_it_is_labelled(
+        monkeypatch, half_width, chunk_windows):
+    # The layouts of the two tests above: runs of short records next to
+    # long ones whose windows span slice boundaries, then records whose
+    # text folds to a different length. The generator yields, in order,
+    # what predict_structures returns at the default slice size, each
+    # record as soon as the slices holding its windows (and those of every
+    # record before it) are labelled.
+    width = 2 * half_width + 1
+    rng = np.random.default_rng(80 + 4 * half_width + chunk_windows)
+    short = [1, width - 1, width]
+    lengths = ([width - 1] * 12 + [width + 9] + [1, width - 1] * 6
+               + [3 * width] + [width - 1] * 5 + [width] + [2] * 9
+               + [width + 1] + short + [width + 5, 3 * width] + short
+               + [width + 20] + short)
+    text = list(ALPHABET + ALPHABET.lower() + "BZJUOé*- \t\n")
+    seqs = ["".join(ALPHABET[i] for i in rng.integers(0, 21, length))
+            for length in lengths]
+    seqs += ["M" + "".join(rng.choice(text, length))
+             for length in (0, width - 1, width, width + 1, 4 * width)]
+    folded = [len(fold_residues(seq)) for seq in seqs]
+    model_sets = regression_model_sets()
+    expected = [predict_structures(models, seqs, half_width, "E")
+                for models in model_sets]
+    monkeypatch.setattr(predictor, "CHUNK_WINDOWS", chunk_windows)
+    for models, labelled in zip(model_sets, expected):
+        source = CountingReads(seqs)
+        yielded = [(labels, source.reads) for labels
+                   in record_labels(models, source, half_width, "E")]
+        assert [labels for labels, _ in yielded] == labelled
+        assert [reads for _, reads in yielded] == \
+            reads_when_labelled(folded, width, chunk_windows)
+
+
 def nudged(rng, log_params, dtype):
     """``log_params`` with each entry below 0 replaced by its nearest
     ``dtype`` value moved one ``dtype`` ulp up or down at random, as
@@ -500,10 +594,11 @@ def test_property_screened_labels_are_the_float64_labels(exact, half_width,
 
 def test_predict_structures_memory_grows_by_a_few_bytes_per_residue():
     # Twelve planted chains of 4 to 1000 residues, the shape of the
-    # predict-proteome benchmark input, at 10x and 100x. Labelling keeps a
-    # few bytes per residue (folded and joined text, labels) plus one
-    # chunk's scoring arrays, so 8 bytes per added residue is an upper bound;
-    # holding 8-byte symbol indices for the whole input would exceed it.
+    # predict-proteome benchmark input, at 10x and 100x. Labelling keeps one
+    # slice's scoring arrays, the records that slice spans and the returned
+    # labels, about one byte per residue, so 3 bytes per added residue is an
+    # upper bound; a folded and a joined copy of the whole input beside them
+    # would exceed it.
     lengths = [round(4 * 250 ** (i / 11)) for i in range(12)]
     chains = [planted_dataset(1, length, seed=100 + i)[0].sequence
               for i, length in enumerate(lengths)]
@@ -518,7 +613,7 @@ def test_predict_structures_memory_grows_by_a_few_bytes_per_residue():
         finally:
             tracemalloc.stop()
 
-    assert peak(100) - peak(10) <= 8 * 90 * sum(lengths)
+    assert peak(100) - peak(10) <= 3 * 90 * sum(lengths)
 
 
 def test_predict_structures_of_no_sequences_is_empty():
