@@ -16,6 +16,8 @@ _REDUCTION = {
     "T": "C", "S": "C", "C": "C",
 }
 _REDUCE = str.maketrans(_REDUCTION)
+# Deletes the class letters, so a label string is valid if nothing is left.
+DROP_CLASSES = str.maketrans("", "", CLASS_ORDER)
 
 
 def reduce_dssp(label: str) -> str:
@@ -31,8 +33,8 @@ def reduce_dssp_string(labels: str) -> str:
     """Reduce every character of a DSSP label string, reporting the first
     offending character with its position."""
     reduced = labels.translate(_REDUCE)  # unknown characters pass unchanged
-    rest = reduced.lstrip(CLASS_ORDER)
-    if rest:
+    if reduced.translate(DROP_CLASSES):
+        rest = reduced.lstrip(CLASS_ORDER)
         raise UnknownDsspCode(f"position {len(reduced) - len(rest)}: "
                               f"{rest[0]!r} is not a DSSP code")
     return reduced

@@ -23,9 +23,11 @@ round-trip exactly. A parsed block becomes a model through the checked
 
 This module reads and writes every file of a run: ``read_text`` reads each
 input, and ``write_texts`` writes a run's outputs all or nothing. All files
-are UTF-8, and a leading byte-order mark is dropped when one is read. Only
-LF ends a line: one CR before it is dropped, so CRLF files read as LF files,
-and no other character (such as FF, NEL or U+2028) breaks a line.
+are UTF-8, and a leading byte-order mark is dropped when one is read.
+``read_text`` decodes a file's bytes and ends its lines as text mode would:
+CRLF and a lone CR each become LF. The parsers take text: only LF ends a
+line there, one CR before it is dropped, so CRLF text reads as LF text, and
+no other character (such as FF, NEL or U+2028) breaks a line.
 
 The labeled dataset format is three lines per record: a ``>id`` header, the
 residue sequence, and a label line (either 8-letter DSSP, which is reduced to
@@ -70,19 +72,26 @@ class LabeledRecord:
 
 def read_text(path: str | Path) -> str:
     """The text of the UTF-8 file ``path``, without a leading byte-order
-    mark. A file that is not UTF-8 raises :class:`ValueError` ending with
-    the path as given, as an :class:`OSError` message does."""
+    mark, with its line ends made as text mode makes them: CRLF and a lone
+    CR each become LF. A file that is not UTF-8 raises :class:`ValueError`
+    ending with the path as given, as an :class:`OSError` message does."""
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        return Path(path).read_text("utf-8-sig")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{exc}: {os.fspath(path)!r}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def write_texts(outputs: list[tuple[str | Path, str]]) -> None:
     """Write each ``(path, text)`` pair, all or nothing. A path that is a
-    directory is refused first (a symlink to one is replaced, as
-    ``os.replace`` does). Each text then goes to a new temp file beside
-    its path, and the temp files are renamed in order only once all are
+    directory is refused first; a symlink, to a directory or not, is
+    replaced by a regular file, as ``os.replace`` does, and its target
+    keeps its bytes. Each text then goes to a new temp file beside its
+    path, and the temp files are renamed in order only once all are
     written, so a failure before the renames changes no path. Each file
     gets the permissions a plain ``open(path, "w")`` would give: those of
     the regular file at its path (through a symlink too), if there is one,
@@ -100,10 +109,10 @@ def write_texts(outputs: list[tuple[str | Path, str]]) -> None:
             # O_EXCL never opens an existing file; the umask masks 0o666.
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))
-            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            with open(fd, "wb") as handle:
                 if os.path.isfile(path):  # keep an existing file's mode
                     os.fchmod(fd, os.stat(path).st_mode & 0o777)
-                handle.write(text)
+                handle.write(text.encode("utf-8"))
         while staged:
             tmp, path = staged[0]
             os.replace(tmp, path)

@@ -703,6 +703,29 @@ def test_an_input_that_is_not_utf8_is_named_in_the_error(tmp_path, capsys,
     assert not any(names[output].exists() for output in outputs)
 
 
+@pytest.mark.parametrize("command, name", [
+    (command, arg[1:-1]) for command, (argv, _) in sorted(FUZZ_RUNS.items())
+    for arg in argv if arg[1:-1] in VALID_INPUTS])
+def test_a_missing_input_is_named_by_the_path_as_given(tmp_path, capsys,
+                                                       command, name):
+    # The one missing input is spelled with "/./" and "//": the error line
+    # ends with that spelling, not a normalized one, as an output's does.
+    argv, outputs = FUZZ_RUNS[command]
+    names = {each: tmp_path / each for each in [*VALID_INPUTS, *outputs]}
+    for each, text in VALID_INPUTS.items():
+        if each != name:
+            names[each].write_text(text, encoding="utf-8")
+    spelled = f"{tmp_path}/./missing//{name}"
+    names[name] = spelled
+    assert main([arg.format_map(names) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: [Errno 2] No such file or directory: ")
+    assert err.endswith(f": {spelled!r}\n")
+    assert err.count("\n") == 1
+    assert not any(names[output].exists() for output in outputs)
+
+
 @pytest.mark.parametrize("command", sorted(FUZZ_RUNS))
 def test_a_leading_byte_order_mark_is_dropped_from_every_input(
         tmp_path, capsys, command):

@@ -4,6 +4,7 @@ import os
 import re
 import stat
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +203,7 @@ def test_write_texts_keeps_the_mode_of_an_existing_file(tmp_path, mode):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "link",
                                                           "target"]
+    assert (tmp_path / "target").read_text() == "OLD\n"
 
 
 def test_read_text_of_a_file_not_utf8_names_its_path(tmp_path):
@@ -212,6 +214,35 @@ def test_read_text_of_a_file_not_utf8_names_its_path(tmp_path):
     assert str(excinfo.value) == ("'utf-8' codec can't decode byte 0xff in "
                                   "position 5: invalid start byte: "
                                   f"{str(path)!r}")
+
+
+def text_mode_read(path):
+    """What ``read_text`` replaces: a text-mode read of the whole file."""
+    return Path(path).read_text("utf-8-sig")
+
+
+# Byte runs where the bytes read and text mode could part: CR, CRLF and
+# CR CR LF, a byte-order mark, invalid and cut-off UTF-8, and the UTF-8 of
+# FF, NEL and U+2028, which text mode does not treat as line ends.
+_READ_PIECES = [b"\r", b"\r\n", b"\r\r\n", b"\n", b"\xef\xbb\xbf", b"\xff",
+                b"\xc3", b"\xe2\x80", b"\x0c", b"\xc2\x85", b"\xe2\x80\xa8",
+                b">a", b"HEC", "\u00e9".encode()]
+
+
+@given(st.lists(st.sampled_from(_READ_PIECES) | st.binary(max_size=6),
+                max_size=12).map(b"".join))
+@settings(max_examples=300, deadline=None)
+def test_property_read_text_matches_a_text_mode_read(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("read") / "in.txt"
+    path.write_bytes(data)
+    try:
+        expected = text_mode_read(path)
+    except UnicodeDecodeError as exc:
+        with pytest.raises(ValueError) as excinfo:
+            read_text(path)
+        assert str(excinfo.value) == f"{exc}: {str(path)!r}"
+    else:
+        assert read_text(path) == expected
 
 
 def test_atomic_write_text_failure_leaves_no_file(tmp_path):

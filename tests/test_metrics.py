@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ssph import (confusion, format_report, format_report_csv,
@@ -170,3 +170,73 @@ def test_property_confusion_matches_the_per_character_loop(pairs):
             confusion(pred, truth)
     else:
         assert np.array_equal(confusion(pred, truth), expected)
+
+
+# The numpy-scalar formulas the int ones replaced, kept as the reference for
+# the report's numbers: every float must have the same bits.
+def numpy_q3(matrix):
+    total = int(matrix.sum())
+    if total == 0:
+        raise NoResidues("confusion matrix has no counts")
+    return float(np.trace(matrix)) / total
+
+
+def numpy_recall(matrix):
+    out = []
+    for i in range(3):
+        row_sum = int(matrix[i].sum())
+        out.append(float(matrix[i, i]) / row_sum if row_sum else None)
+    return tuple(out)
+
+
+def numpy_report(matrix):
+    lines = ["confusion matrix (rows = true, cols = predicted)",
+             "      " + "".join(f"{c:>8}" for c in "HEC")]
+    for i, c in enumerate("HEC"):
+        lines.append(f"{c:>6}" + "".join(f"{int(v):>8}" for v in matrix[i]))
+    lines.append(f"Q3: {numpy_q3(matrix):.4f}")
+    for c, recall in zip("HEC", numpy_recall(matrix)):
+        value = "undefined" if recall is None else f"{recall:.4f}"
+        lines.append(f"recall {c}: {value}")
+    return "\n".join(lines) + "\n"
+
+
+def numpy_report_csv(matrix):
+    lines = ["true\\pred,H,E,C"]
+    for i, c in enumerate("HEC"):
+        lines.append(c + "," + ",".join(str(int(v)) for v in matrix[i]))
+    lines.append("metric,value")
+    lines.append(f"q3,{numpy_q3(matrix)!r}")
+    for c, recall in zip("HEC", numpy_recall(matrix)):
+        lines.append(f"recall_{c}," + ("" if recall is None else repr(recall)))
+    return "\n".join(lines) + "\n"
+
+
+def bits(value):
+    return None if value is None else value.hex()
+
+
+@st.composite
+def count_matrices(draw):
+    """An int64 3x3 count matrix, counts up to 2**40, often with zero rows."""
+    counts = st.integers(0, 2**40) | st.integers(0, 9) | st.just(0)
+    matrix = np.array(draw(st.lists(counts, min_size=9, max_size=9)),
+                      dtype=np.int64).reshape(3, 3)
+    for i in draw(st.sets(st.integers(0, 2))):
+        matrix[i] = 0
+    return matrix
+
+
+@given(count_matrices())
+@example(np.zeros((3, 3), dtype=np.int64))
+def test_property_report_numbers_match_the_numpy_formulas(matrix):
+    assert [bits(r) for r in per_class_recall(matrix)] == \
+        [bits(r) for r in numpy_recall(matrix)]
+    if not matrix.any():
+        for function in (q3, format_report, format_report_csv):
+            with pytest.raises(NoResidues):
+                function(matrix)
+        return
+    assert bits(q3(matrix)) == bits(numpy_q3(matrix))
+    assert format_report(matrix) == numpy_report(matrix)
+    assert format_report_csv(matrix) == numpy_report_csv(matrix)
