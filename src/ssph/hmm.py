@@ -5,8 +5,8 @@ space.
 
 :func:`viterbi` is the one max-product recursion here, and
 :func:`sequence_score` is its log-probability. The kernel that scores every
-window of a symbol run at once is ``predictor._window_scores``, beside the
-float32 rounding proof that rests on its order of additions.
+window of a symbol run at once is ``predictor._window_scores``, beside its
+compiled form, which makes the same additions in the same order.
 
 The scaled recursions are the ``forward`` and ``backward`` methods of
 ``_EStep``, the one owner of their arrays: one set per equal-length batch of

@@ -9,26 +9,27 @@ windows, one max-product pass per class model and slice over the slice's
 residues, so memory is one slice plus the sequences it spans and the
 labels. :func:`predict_structure` is its one-sequence form.
 
-This module owns the window kernel, :func:`_window_scores`: one
+This module owns the window kernel, :func:`_window_scores`: one float64
 max-product pass over every fixed-width window of a symbol run, which
-gathers each symbol's emissions once. The pass runs in the dtype of the log
-parameters it is given; in float64 it gives the same bits as
-:func:`ssph.hmm.viterbi` on each window. The passes run in float32 first,
-and a rounding bound (:func:`_window_doubt`, which rests on the kernel's
-order of additions) proves which windows' labels equal those of float64
-scores; only the other windows are scored again in float64, so every label
-is the float64 label bit for bit.
+gathers each symbol's emissions once and gives the same bits as
+:func:`ssph.hmm.viterbi` on each window. ``_kernel.c`` is its compiled form:
+it makes the same additions in the same order, so it gives the same bits
+too. :func:`_load_kernel` builds it on first use with the C compiler Python
+was built with, into a library beside the source that later runs load
+(:mod:`ssph._ckernel`), and falls back to :func:`_window_scores` where it
+cannot be built or loaded. Either way every label is the float64 label.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from itertools import chain
+from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from . import _ckernel
 from .dssp import CLASS_ORDER
 from .errors import EmptySequence
 from .hmm import Hmm, _log_params
@@ -43,15 +44,17 @@ UNKNOWN_RESIDUE = "X"
 TIE_BREAK = "HCE"
 
 # Windows per slice of the joined residues, so per kernel call. Large
-# enough that numpy's per-call cost is spread over many windows. At
-# half-width 5 a slice's scoring arrays take about 57 to 69 bytes per
-# window (1 to 4 states; tracemalloc peak over one full slice) when the
-# float32 pass proves every label, and 67 to 145 when every window is in
-# doubt: the slice's symbols and labels, 8 bytes per window each, three
-# float32 vectors per state and one more in the kernel, and the float32
-# scores kept for the other classes, 4 bytes per window each, plus the
-# doubted windows' indices and one float64 pass over at most the slice.
+# enough that each call's fixed cost is spread over many windows. At
+# half-width 5 a slice's scoring arrays take about 50 to 64 bytes per
+# window (1 to 4 states; tracemalloc peak over one full slice): the slice's
+# symbols and each class's float64 scores, 8 bytes per window each, and
+# then either the emissions the kernel gathers, 8 bytes per state, or the
+# label pick's temporaries. The C kernel's block buffers, 8 KB per state,
+# come on top, unseen by tracemalloc. The numpy fallback keeps three
+# float64 vectors per state, not one: 56 to 129 bytes per window.
 CHUNK_WINDOWS = 8192
+
+_kernel = None  # the kernel _label_windows calls, chosen on first use
 
 
 class _FoldTable(dict):
@@ -110,75 +113,14 @@ def _first_max(first: np.ndarray, second: np.ndarray, third: np.ndarray
     return np.where(third > np.maximum(first, second), 2, second > first)
 
 
-# Unit roundoff of float32 and float64.
-_U32 = 2.0 ** -24
-_U64 = 2.0 ** -53
-
-
-def _gamma(k: int, u: float) -> float:
-    """Higham's bound on the relative error of ``k`` roundings at unit
-    roundoff ``u``."""
-    return k * u / (1 - k * u)
-
-
-def _window_doubt(first: np.ndarray, second: np.ndarray, third: np.ndarray,
-                  width: int) -> np.ndarray:
-    """Per window, whether the float32 scores ``first``, ``second`` and
-    ``third`` of its three classes, from float32 copies of the float64 log
-    parameters, leave its label in doubt. Where they do not, the label
-    :func:`_first_max` picks from them is the float64 scores' label.
-
-    Take the float64 log parameters as exact. A window's exact score S is
-    the maximum over state paths of a sum of 2*width terms (one initial,
-    width - 1 transitions and width emissions), each <= 0. Rounding is
-    monotone, so a computed score is the maximum over paths of each path's
-    rounded left-to-right sum, and a sum of terms of one sign has a relative
-    error of at most ``_gamma(k, u)`` (Higham 2002, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 3): k = 2*width - 1 additions at
-    u = 2**-53 in float64, and in float32 (u = 2**-24) one more rounding of
-    each term. This takes k = 2*width for float64 and k = 4*width for
-    float32, where Higham's lemma 3.3 needs 2*width; the slack is used
-    below. The bounds carry over to the maximum, so a class's float32 score
-    X and float64 score Y both lie within that relative error of S, and
-    |Y - X| <= kappa * |X| with kappa = (g32 + g64) / (1 - g32). The model
-    holds: a nonzero log of a float64 probability lies in [-745, -2**-53],
-    so no float32 term is subnormal, a finite path sum of under 10**35
-    terms does not overflow, and -inf comes only from log 0, so a score is
-    -inf in float32 exactly where it is in float64.
-
-    Let b be a window's best float32 score and r the runner-up. If
-    b - r > kappa * (|b| + |r|), that is b > r * q with
-    q = (1 - kappa) / (1 + kappa), then b's class has a float64 score of at
-    least b * (1 + kappa) and every other class at most r * (1 - kappa), so
-    the float64 label is b's. The test runs in float64 on the float32
-    scores, where only q and the product r * q are rounded: a relative
-    error of 5 * 2**-53 at most, far inside the slack of 2*width * 2**-24
-    in kappa. So a window is in doubt when r * q >= b, which holds for
-    every exact tie, also of two scores of 0.0, so that :data:`TIE_BREAK`
-    decides ties in float64. A finite b against an r of -inf is proven. A
-    b of -inf is proven too: all three float64 scores are then -inf and the
-    label is 'H' at either precision. No product is NaN, since q is finite
-    and positive. From 4 * width * 2**-24 >= 1/4 (width >= 2**20) on, the
-    bound is not used and every window is in doubt."""
-    if 4 * width * _U32 >= 0.25:
-        return np.ones(len(first), dtype=bool)
-    g32 = _gamma(4 * width, _U32)
-    kappa = (g32 + _gamma(2 * width, _U64)) / (1 - g32)
-    high = np.maximum(first, second)
-    best = np.maximum(high, third)
-    runner = np.maximum(np.minimum(first, second), np.minimum(high, third))
-    return ((runner * np.float64((1 - kappa) / (1 + kappa)) >= best)
-            & (best > -math.inf))
-
-
 def _window_scores(log_init: np.ndarray, log_trans: np.ndarray,
                    log_emit: np.ndarray, symbols: np.ndarray,
                    width: int) -> np.ndarray:
     """Best-path log score of every ``width``-symbol window of the 1-D
     integer run ``symbols``: entry ``s`` scores ``symbols[s:s + width]``.
     It is the max-product recursion of :func:`viterbi` without the
-    backtrace, run on all windows at once in the dtype of ``log_emit``. In
-    float64 every score equals ``viterbi(...).log_prob`` bit for bit.
+    backtrace, run on all windows at once. Every float64 score equals
+    ``viterbi(...).log_prob`` bit for bit.
 
     Each state's emissions are gathered once per symbol, and step ``t`` of
     every window adds the contiguous slice ``emit[j][t:t + m]`` of them, so
@@ -187,27 +129,24 @@ def _window_scores(log_init: np.ndarray, log_trans: np.ndarray,
     predecessors as ``np.maximum`` over those vectors.
 
     A step allocates nothing: the initial and transition log parameters
-    become 0-d arrays of the kernel's dtype once per call, and every add and
-    maximum writes into a ``new`` vector per state or one ``tmp``, allocated
-    per call; ``delta`` and ``new`` swap after each step. The 0-d operands
-    must have the kernel's dtype: a float64 one would turn a float32 add
-    into a float64 add, and a Python float costs more per add. This is
-    exact because it makes the same additions in the same order as a plain
-    allocating recursion, ``max`` returns one of its inputs, and the buffers
-    live for one call only, so the result shares memory with no input and
-    no other call."""
-    dtype = log_emit.dtype
+    become 0-d arrays once per call, which cost less per add than Python
+    floats, and every add and maximum writes into a ``new`` vector per state
+    or one ``tmp``, allocated per call; ``delta`` and ``new`` swap after
+    each step. This is exact because it makes the same additions in the
+    same order as a plain allocating recursion, ``max`` returns one of its
+    inputs, and the buffers live for one call only, so the result shares
+    memory with no input and no other call."""
     m = len(symbols) - width + 1
     states = range(len(log_init))
     # Local names for what the step loop looks up on every ufunc call: on
     # a few thousand windows the lookups cost about a tenth of the kernel.
     add, maximum, rest = np.add, np.maximum, states[1:]
-    init = [np.array(v, dtype) for v in log_init]
-    trans = [[np.array(v, dtype) for v in row] for row in log_trans]
+    init = [np.array(v) for v in log_init]
+    trans = [[np.array(v) for v in row] for row in log_trans]
     emit = [log_emit[j].take(symbols) for j in states]
     delta = [add(init[j], emit[j][:m]) for j in states]
-    new = [np.empty(m, dtype) for _ in states]
-    tmp = np.empty(m, dtype)
+    new = [np.empty(m) for _ in states]
+    tmp = np.empty(m)
     for t in range(1, width):
         for j in states:
             best = add(delta[0], trans[0][j], new[j])
@@ -221,33 +160,28 @@ def _window_scores(log_init: np.ndarray, log_trans: np.ndarray,
     return best
 
 
-def _label_windows(screen: list, exact: list, residues: str, width: int
-                   ) -> bytes:
+def _load_kernel(source: Path = _ckernel.SOURCE, cc: str | None = None):
+    """The window kernel: the compiled one from ``source``, built with the
+    compiler command ``cc`` (see :func:`ssph._ckernel.load`), or
+    :func:`_window_scores` where it cannot be built or loaded. Both give
+    the same bytes."""
+    return _ckernel.load(source, cc) or _window_scores
+
+
+def _label_windows(params: list, residues: str, width: int) -> bytes:
     """The :data:`TIE_BREAK` label of every ``width``-residue window of
-    ``residues``, given each label's log parameters in that order, as
-    float32 copies (``screen``) and in float64 (``exact``). Every window is
-    scored in float32, and the windows :func:`_window_doubt` leaves in
-    doubt are scored again in float64 with one kernel call per class: on a
-    run of their symbols, ``width`` per window, of which every
-    ``width``-th score is kept, or on the whole slice when that run would
-    be longer, so the float64 pass never scores more than the slice."""
+    ``residues``, given each label's float64 log parameters in that order:
+    one kernel call per class over every window."""
+    global _kernel
+    if _kernel is None:
+        _kernel = _load_kernel()
     symbols = encode_residues(residues)
-    scores = [_window_scores(*p, symbols, width) for p in screen]
-    labels = _first_max(*scores)
-    doubt = np.flatnonzero(_window_doubt(*scores, width))
-    if len(doubt):
-        if len(doubt) * width < len(symbols):
-            run = symbols[(doubt[:, None] + np.arange(width)).ravel()]
-            keep = slice(None, None, width)
-        else:
-            run, keep = symbols, doubt
-        labels[doubt] = _first_max(
-            *[_window_scores(*p, run, width)[keep] for p in exact])
+    labels = _first_max(*[_kernel(*p, symbols, width) for p in params])
     return _TIE_BREAK_BYTES[labels].tobytes()
 
 
-def _record_labels(screen: list, exact: list, sequences: Iterable[str],
-                   half_width: int, boundary_label: str) -> Iterator[str]:
+def _record_labels(params: list, sequences: Iterable[str], half_width: int,
+                   boundary_label: str) -> Iterator[str]:
     """Yield the labels of each of ``sequences`` in order, as
     :func:`predict_structures` returns them, reading one sequence at a
     time.
@@ -281,7 +215,7 @@ def _record_labels(screen: list, exact: list, sequences: Iterable[str],
         while len(residues) - start >= (width if sequence is None else span):
             cut = min(lead, len(labels))  # labels yielded or dropped
             labels = labels[cut:] + _label_windows(
-                screen, exact, residues[start:start + span], width).decode()
+                params, residues[start:start + span], width).decode()
             lead -= cut
             start += CHUNK_WINDOWS
         residues = residues[start:]
@@ -322,9 +256,8 @@ def predict_structures(models: ClassModelSet, sequences: Iterable[str],
         raise ValueError(f"boundary_label must be one of {CLASS_ORDER!r}")
     if isinstance(sequences, str):
         raise TypeError("sequences must be an iterable of str, not a str")
-    exact = [_log_params(models[label]) for label in TIE_BREAK]
-    screen = [[a.astype(np.float32) for a in p] for p in exact]
-    return list(_record_labels(screen, exact, sequences, half_width,
+    params = [_log_params(models[label]) for label in TIE_BREAK]
+    return list(_record_labels(params, sequences, half_width,
                                boundary_label))
 
 

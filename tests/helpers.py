@@ -1,14 +1,17 @@
-"""Shared test utilities: random stochastic arrays built straight from numpy
-draws (independent of the package's own model generator) and the stub model
-sets used by the predictor fixtures, and probability rows that carry faults
-on the edges of the model row check."""
+"""Shared test utilities: random stochastic arrays and models built straight
+from numpy draws (independent of the package's own model generator), the
+stub model sets used by the predictor fixtures, probability rows that carry
+faults on the edges of the model row check, and the model and log-parameter
+strategies of the window kernel tests."""
 
+import functools
 import math
+from contextlib import contextmanager
 
 import numpy as np
 from hypothesis import strategies as st
 
-from ssph import ClassModelSet, Hmm
+from ssph import ALPHABET, ClassModelSet, Hmm, predictor
 from ssph.hmm import ROW_SUM_TOL
 
 
@@ -64,6 +67,26 @@ def stub_model_set():
                           "C": single_state_profile(np.arange(14, 21))})
 
 
+@functools.cache
+def window_kernels():
+    """The window kernels by name: the compiled one (the numpy one again on
+    a host where it cannot be built) and the numpy one."""
+    return (("compiled", predictor._load_kernel()),
+            ("numpy", predictor._window_scores))
+
+
+@contextmanager
+def kernel_in_use(kernel):
+    """Make ``kernel`` the one the predictor scores windows with, inside
+    the ``with`` block."""
+    saved = predictor._kernel
+    predictor._kernel = kernel
+    try:
+        yield
+    finally:
+        predictor._kernel = saved
+
+
 # Entries on the edges of the [0, 1] range check, and row-sum offsets a few
 # ulps either side of the row-sum tolerance.
 EDGE_ENTRIES = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 1.5, -0.5,
@@ -91,3 +114,67 @@ def faulty_rows(draw, num_rows, width):
             offset = draw(st.sampled_from([0.0] + SUM_OFFSETS))
             row[-1] = 1.0 + offset - row[:-1].sum()
     return rows
+
+
+def random_model_with_zeros(rng, num_states, alphabet_size):
+    """Random model with about a third of its entries exactly 0 (log -inf);
+    each row keeps its largest entry so it still sums to 1."""
+    def rows(shape):
+        u = random_stochastic(rng, shape)
+        drop = rng.random(shape) < 0.35
+        np.put_along_axis(drop, np.argmax(u, axis=-1)[..., None], False, -1)
+        u[drop] = 0.0
+        return u / u.sum(axis=-1, keepdims=True)
+
+    return Hmm(initial=rows(num_states),
+               transition=rows((num_states, num_states)),
+               emission=rows((num_states, alphabet_size)))
+
+
+@st.composite
+def model_and_run(draw):
+    """A random model of 1 to 4 states over 1 to 5 symbols, with or without
+    zero entries, and a run of 1 to 30 of its symbols."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    m = draw(st.integers(min_value=1, max_value=5))
+    length = draw(st.integers(min_value=1, max_value=30))
+    zeros = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(min_value=0,
+                                                 max_value=2**32 - 1)))
+    model = (random_model_with_zeros if zeros else random_model)(rng, n, m)
+    return model, rng.integers(0, m, size=length)
+
+
+def nudged(rng, log_params, dtype):
+    """``log_params`` with each entry below 0 replaced by its nearest
+    ``dtype`` value moved one ``dtype`` ulp up or down at random, as
+    float64; 0 and -inf stay."""
+    out = []
+    for a in log_params:
+        toward = np.where(rng.random(a.shape) < 0.5, -np.inf, 0.0)
+        moved = np.nextafter(a.astype(dtype), toward.astype(dtype))
+        out.append(np.where(np.isfinite(a) & (a < 0), moved, a))
+    return tuple(out)
+
+
+@st.composite
+def near_tied_params(draw):
+    """Float64 log parameters of three classes (in :data:`TIE_BREAK` order)
+    over the residue alphabet, built to tie: random log parameters, some
+    -inf and some 0, and two more sets that are a copy of them (an exact
+    tie) or them with each entry below 0 moved one float64 or one float32
+    ulp. So windows' three float64 scores are equal or differ in their last
+    bits (by exactly one ulp where a path's only nonzero term is its
+    initial one)."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0,
+                                                 max_value=2**32 - 1)))
+    shapes = (n,), (n, n), (n, len(ALPHABET))
+    base = tuple(np.select([u < 0.1, u < 0.35],
+                           [-np.inf, 0.0], np.log(u + 1e-3))
+                 for u in map(rng.random, shapes))
+    kinds = draw(st.lists(st.sampled_from(["copy", np.float64, np.float32]),
+                          min_size=2, max_size=2))
+    params = [base] + [base if kind == "copy" else nudged(rng, base, kind)
+                       for kind in kinds]
+    return [params[i] for i in draw(st.permutations(range(3)))]

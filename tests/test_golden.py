@@ -8,15 +8,20 @@ the draws of ``planted_dataset`` and ``new_random_hmm``."""
 import json
 
 from golden_grid import DIGESTS, GOLDEN, digests, near_ties, write_inputs
+from helpers import kernel_in_use, window_kernels
 
 
 def test_golden_outputs_are_byte_identical(tmp_path):
+    # Once per window kernel: each must give every byte.
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    actual = digests(tmp_path)
-    assert sorted(actual) == sorted(expected)
-    moved = sorted(case for case in expected if actual[case] != expected[case])
-    assert not moved, f"{len(moved)} of {len(expected)} golden cases moved: " \
-                      f"{moved}"
+    for name, kernel in window_kernels():
+        with kernel_in_use(kernel):
+            actual = digests(tmp_path)
+        assert sorted(actual) == sorted(expected)
+        moved = sorted(case for case in expected
+                       if actual[case] != expected[case])
+        assert not moved, f"{name} kernel: {len(moved)} of {len(expected)} " \
+                          f"golden cases moved: {moved}"
 
 
 def test_golden_windows_have_no_near_ties():

@@ -18,7 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 import oracle
 import reference_estep
 import ssph
-from helpers import faulty_rows, random_model, random_stochastic, small_cases
+from helpers import (faulty_rows, model_and_run, random_model,
+                     random_model_with_zeros, small_cases)
 from ssph import (Hmm, backward_log_likelihood, baum_welch,
                   forward_log_likelihood, new_random_hmm, sequence_score,
                   viterbi)
@@ -883,21 +884,6 @@ def test_sequence_score_invariant_under_state_relabeling():
 
 # ------------------------------------------------------ window max-product
 
-def random_model_with_zeros(rng, num_states, alphabet_size):
-    """Random model with about a third of its entries exactly 0 (log -inf);
-    each row keeps its largest entry so it still sums to 1."""
-    def rows(shape):
-        u = random_stochastic(rng, shape)
-        drop = rng.random(shape) < 0.35
-        np.put_along_axis(drop, np.argmax(u, axis=-1)[..., None], False, -1)
-        u[drop] = 0.0
-        return u / u.sum(axis=-1, keepdims=True)
-
-    return Hmm(initial=rows(num_states),
-               transition=rows((num_states, num_states)),
-               emission=rows((num_states, alphabet_size)))
-
-
 def batched_scores(model, symbols, width):
     """The score of every ``width``-symbol window of the 1-D run
     ``symbols``, as the predictor computes them."""
@@ -937,18 +923,6 @@ def test_batched_scores_agree_with_the_oracle_on_small_cases():
         best, _ = oracle.best_path_probability(model, obs)
         score = batched_scores(model, obs, len(obs))[0]
         assert math.exp(score) == pytest.approx(best, rel=1e-10)
-
-
-@st.composite
-def model_and_run(draw):
-    n = draw(st.integers(min_value=1, max_value=4))
-    m = draw(st.integers(min_value=1, max_value=5))
-    length = draw(st.integers(min_value=1, max_value=30))
-    zeros = draw(st.booleans())
-    rng = np.random.default_rng(draw(st.integers(min_value=0,
-                                                 max_value=2**32 - 1)))
-    model = (random_model_with_zeros if zeros else random_model)(rng, n, m)
-    return model, rng.integers(0, m, size=length)
 
 
 @given(model_and_run())
@@ -1025,33 +999,13 @@ def test_window_scores_leave_inputs_and_earlier_results_alone(num_states,
     assert scores.tobytes() == expected
 
 
-def float32_windows(params, symbols, width):
-    """Every ``width``-symbol window's best-path score from an allocating
-    max-product recursion run in float32 on float32 copies of ``params``."""
-    init, trans, emit = (a.astype(np.float32) for a in params)
-    scores = []
-    for row in sliding_window_view(symbols, width):
-        delta = init + emit[:, row[0]]
-        for symbol in row[1:]:
-            delta = (delta[:, None] + trans).max(axis=0) + emit[:, symbol]
-        scores.append(delta.max())
-    return np.array(scores, dtype=np.float32)
-
-
 @pytest.mark.parametrize("num_states", [1, 2, 3])
 def test_window_scores_keep_the_dtype_of_their_parameters(num_states):
-    # The kernel's 0-d operands take its dtype: a float64 one would make
-    # every float32 add a float64 add, and the float32 screen of the
-    # predictor would run in float64 unseen.
+    # Float64 parameters give float64 scores, each the Viterbi score.
     rng = np.random.default_rng(77 + num_states)
     model = random_model_with_zeros(rng, num_states, 21)
     symbols = rng.integers(0, 21, size=70)
-    params = _log_params(model)
-    single = _window_scores(*(a.astype(np.float32) for a in params),
-                            symbols, 11)
-    assert single.dtype == np.float32
-    assert single.tobytes() == float32_windows(params, symbols, 11).tobytes()
-    double = _window_scores(*params, symbols, 11)
+    double = _window_scores(*_log_params(model), symbols, 11)
     assert double.dtype == np.float64
     assert double.tobytes() == viterbi_windows(model, symbols, 11).tobytes()
 

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from helpers import random_model, single_symbol_stub, stub_model_set
+from helpers import (kernel_in_use, random_model, single_symbol_stub,
+                     stub_model_set, window_kernels)
 from ssph import (ALPHABET, ClassModelSet, encode_residues, fold_residues,
                   new_random_hmm, planted_dataset, planted_models,
                   predict_structure, predict_structures, predictor, viterbi)
@@ -100,7 +101,9 @@ _grid = st.integers(min_value=1, max_value=20)
 @given(_grid, _grid, _grid)
 def test_property_centre_label_is_the_first_maximum(k_h, k_e, k_c):
     expected = max("HCE", key={"H": k_h, "E": k_e, "C": k_c}.get)
-    assert centre_label(k_h / 20, k_e / 20, k_c / 20) == expected
+    for name, kernel in window_kernels():
+        with kernel_in_use(kernel):
+            assert centre_label(k_h / 20, k_e / 20, k_c / 20) == expected, name
 
 
 # Window scores on a small grid plus -inf, so that two- and three-way ties
@@ -116,24 +119,6 @@ def test_property_first_max_is_argmax_over_the_stack(scores):
     first, second, third = (np.array(s) for s in scores)
     picked = predictor._first_max(first, second, third)
     assert picked.tolist() == np.argmax(np.stack(scores), axis=0).tolist()
-
-
-def test_window_doubt_of_ties_infinities_and_wide_windows():
-    # Per column: a tie at 0.0, a tie below 0, a one-ulp gap, a finite best
-    # against two -inf, all three -inf, and a clear gap. Ties and the
-    # one-ulp gap are in doubt; -inf runner-ups prove the label, and so do
-    # three -inf scores, which are -inf in float64 too (label 'H').
-    below_one = np.nextafter(np.float32(-1.0), np.float32(-2.0))
-    first = np.array([0.0, -2.0, -1.0, -1.0, -np.inf, -1.0], np.float32)
-    second = np.array([0.0, -3.0, below_one, -np.inf, -np.inf, -5.0],
-                      np.float32)
-    third = np.array([-1.0, -2.0, -4.0, -np.inf, -np.inf, -6.0], np.float32)
-    for width in (3, 11, 2**20 - 1):
-        assert predictor._window_doubt(first, second, third,
-                                       width).tolist() \
-            == [True, True, True, False, False, False]
-    # From width 2**20 on the bound is not used: every window is in doubt.
-    assert predictor._window_doubt(first, second, third, 2**20).all()
 
 
 def test_window_scores_match_the_oracle():
@@ -249,12 +234,14 @@ def test_predict_structure_locality():
 def test_property_output_length_and_alphabet(half_width, symbols):
     models = planted_models(leak=0.2)
     seq = "".join(ALPHABET[i] for i in symbols)
-    pred = predict_structure(models, seq, half_width=half_width)
-    assert len(pred) == len(seq)
-    assert set(pred) <= set("HEC")
-    for i in range(len(seq)):
-        if i < half_width or i >= len(seq) - half_width:
-            assert pred[i] == "C"
+    for name, kernel in window_kernels():
+        with kernel_in_use(kernel):
+            pred = predict_structure(models, seq, half_width=half_width)
+        assert len(pred) == len(seq), name
+        assert set(pred) <= set("HEC"), name
+        for i in range(len(seq)):
+            if i < half_width or i >= len(seq) - half_width:
+                assert pred[i] == "C", name
 
 
 @given(st.lists(st.integers(min_value=0, max_value=20), min_size=5,
@@ -263,9 +250,12 @@ def test_property_output_length_and_alphabet(half_width, symbols):
 def test_property_interior_labels_follow_the_tie_break_chain(symbols):
     models = planted_models(leak=0.2)
     window = "".join(ALPHABET[i] for i in symbols)
-    pred = predict_structure(models, window, half_width=2)
-    assert pred[2] == max("HCE", key=lambda label: viterbi(
+    expected = max("HCE", key=lambda label: viterbi(
         models[label], encode_residues(window)).log_prob)
+    for name, kernel in window_kernels():
+        with kernel_in_use(kernel):
+            pred = predict_structure(models, window, half_width=2)
+        assert pred[2] == expected, name
 
 
 # ------------------------------------------- batched scoring vs the old loop
@@ -320,7 +310,7 @@ def test_predict_structures_matches_the_per_window_loop_across_records(
     # between them and next to the short ones. The last records carry
     # whitespace, lower case and letters outside the alphabet, so their
     # folded lengths differ from their text's. The sequences come from a
-    # one-shot generator, as in ``ssph predict``.
+    # one-shot generator, as in ``ssph predict``. Each kernel labels them.
     monkeypatch.setattr(predictor, "CHUNK_WINDOWS", chunk_windows)
     rng = np.random.default_rng(40 + half_width)
     width = 2 * half_width + 1
@@ -332,51 +322,49 @@ def test_predict_structures_matches_the_per_window_loop_across_records(
                 for length in lengths]
         seqs += ["M" + "".join(rng.choice(text, length))
                  for length in (0, width - 1, width, width + 1, 4 * width)]
-        assert predict_structures(models, (seq for seq in seqs), half_width,
-                                  boundary_label) \
-            == [reference_predict(models, fold_residues(seq), half_width,
-                                  boundary_label)
-                for seq in seqs]
+        expected = [reference_predict(models, fold_residues(seq), half_width,
+                                      boundary_label)
+                    for seq in seqs]
+        for name, kernel in window_kernels():
+            monkeypatch.setattr(predictor, "_kernel", kernel)
+            assert predict_structures(models, (seq for seq in seqs),
+                                      half_width, boundary_label) \
+                == expected, name
 
 
-KernelCall = namedtuple("KernelCall", "dtype windows symbols scores")
+KernelCall = namedtuple("KernelCall", "windows symbols")
 
 
 def counting_kernel(monkeypatch):
-    """Replace the predictor's window kernel with one that records each
-    call as a :class:`KernelCall`: its dtype, numbers of windows and of
-    symbols, and a copy of its scores."""
+    """Make the predictor's window kernel the one :func:`_load_kernel`
+    gives (the compiled one, where it can be built), wrapped to record each
+    call as a :class:`KernelCall`: its number of windows and its symbols."""
+    kernel = predictor._load_kernel()
     calls = []
 
-    def kernel(log_init, log_trans, log_emit, symbols, width):
-        scores = _window_scores(log_init, log_trans, log_emit, symbols, width)
-        calls.append(KernelCall(scores.dtype, len(symbols) - width + 1,
-                                len(symbols), scores.copy()))
-        return scores
+    def counted(log_init, log_trans, log_emit, symbols, width):
+        calls.append(KernelCall(len(symbols) - width + 1, symbols))
+        return kernel(log_init, log_trans, log_emit, symbols, width)
 
-    monkeypatch.setattr(predictor, "_window_scores", kernel)
+    monkeypatch.setattr(predictor, "_kernel", counted)
     return calls
 
 
-def screen_windows(calls, width):
-    """The windows of each float32 call, after checking that the calls
-    come per slice as one float32 call per class, then one float64 call
-    per class if and only if the float32 scores leave a window in doubt,
-    each on at most ``width`` symbols per doubted window."""
-    screened = []
-    rest = list(calls)
-    while rest:
-        screen, rest = rest[:3], rest[3:]
-        assert [c.dtype for c in screen] == [np.float32] * 3
-        assert len({c.windows for c in screen}) == 1
-        screened += [c.windows for c in screen]
-        doubt = predictor._window_doubt(*(c.scores for c in screen),
-                                        width).sum()
-        if doubt:
-            rescore, rest = rest[:3], rest[3:]
-            assert [c.dtype for c in rescore] == [np.float64] * 3
-            assert all(c.symbols <= width * doubt for c in rescore)
-    return screened
+def slice_windows(calls):
+    """The number of windows of each slice, after checking that the calls
+    come as exactly three per slice, one per class, each over the same
+    symbols, so over every window of that slice."""
+    assert len(calls) % 3 == 0
+    slices = [calls[k:k + 3] for k in range(0, len(calls), 3)]
+    for first, *rest in slices:
+        assert all(c.symbols is first.symbols for c in rest)
+    return [first.windows for first, *_ in slices]
+
+
+def full_slices(windows, chunk_windows):
+    """The window counts of the slices of ``windows`` joined windows."""
+    full, last = divmod(windows, chunk_windows)
+    return [chunk_windows] * full + ([last] if last else [])
 
 
 @pytest.mark.parametrize("half_width", [1, 2, 5])
@@ -438,20 +426,41 @@ def test_predict_structures_mixes_short_and_long_records_across_chunks(
                 for seq in seqs]
     windows = sum(n for n in lengths if n >= width) - width + 1
     assert windows < sum(lengths) - width + 1
-    screened = screen_windows(calls, width)
-    assert sum(screened) == 4 * 3 * windows
-    assert len(screened) == 4 * 3 * math.ceil(windows / chunk_windows)
-    assert max(screened) <= chunk_windows
-    # The planted sets score some mixed windows equally in two classes, so
-    # some slices are scored again in float64.
-    assert any(c.dtype == np.float64 for c in calls)
+    assert slice_windows(calls) == \
+        full_slices(windows, chunk_windows) * len(regression_model_sets())
+
+
+@pytest.mark.parametrize("chunk_windows", [7, 64, 8192])
+@pytest.mark.parametrize("tied", ["planted-0.05", "identical"])
+def test_predict_structures_scores_each_window_once_per_class(
+        monkeypatch, tied, chunk_windows):
+    # Three kernel calls per slice, each over every window of the slice,
+    # also on sets whose classes tie: the planted models with leak 0.05,
+    # whose H and E models mirror each other, and three identical class
+    # models, which tie on every window, so every label is 'H'. No window
+    # is scored a second time.
+    monkeypatch.setattr(predictor, "CHUNK_WINDOWS", chunk_windows)
+    calls = counting_kernel(monkeypatch)
+    rng = np.random.default_rng(90)
+    model = random_model(rng, 3, len(ALPHABET))
+    models = {"planted-0.05": planted_models(0.05),
+              "identical": ClassModelSet({label: model for label in "HEC"})
+              }[tied]
+    lengths = [30, 3, 200, 11, 450, 5]
+    seqs = ["".join(ALPHABET[i] for i in rng.integers(0, 21, length))
+            for length in lengths]
+    labels = predict_structures(models, seqs, 2)
+    assert labels == [reference_predict(models, seq, 2, "C") for seq in seqs]
+    if tied == "identical":
+        assert all(set(pred[2:-2]) <= {"H"} for pred in labels)
+    windows = sum(n for n in lengths if n >= 5) - 4
+    assert slice_windows(calls) == full_slices(windows, chunk_windows)
 
 
 def record_labels(models, sequences, half_width, boundary_label="C"):
     """The generator behind :func:`predict_structures`, on ``models``."""
-    exact = [_log_params(models[label]) for label in predictor.TIE_BREAK]
-    screen = [[a.astype(np.float32) for a in p] for p in exact]
-    return predictor._record_labels(screen, exact, sequences, half_width,
+    params = [_log_params(models[label]) for label in predictor.TIE_BREAK]
+    return predictor._record_labels(params, sequences, half_width,
                                     boundary_label)
 
 
@@ -539,57 +548,6 @@ def test_record_labels_yields_each_record_as_soon_as_it_is_labelled(
         assert [labels for labels, _ in yielded] == labelled
         assert [reads for _, reads in yielded] == \
             reads_when_labelled(folded, width, chunk_windows)
-
-
-def nudged(rng, log_params, dtype):
-    """``log_params`` with each entry below 0 replaced by its nearest
-    ``dtype`` value moved one ``dtype`` ulp up or down at random, as
-    float64; 0 and -inf stay."""
-    out = []
-    for a in log_params:
-        toward = np.where(rng.random(a.shape) < 0.5, -np.inf, 0.0)
-        moved = np.nextafter(a.astype(dtype), toward.astype(dtype))
-        out.append(np.where(np.isfinite(a) & (a < 0), moved, a))
-    return tuple(out)
-
-
-@st.composite
-def near_tied_params(draw):
-    """Float64 log parameters of three classes (in :data:`TIE_BREAK` order)
-    over the residue alphabet, built to tie: random log parameters, some
-    -inf and some 0, and two more sets that are a copy of them (an exact
-    tie) or them with each entry below 0 moved one float64 or one float32
-    ulp. So windows' three float64 scores are equal or differ in their last
-    bits (by exactly one ulp where a path's only nonzero term is its
-    initial one), and their float32 scores are equal or ordered either
-    way."""
-    n = draw(st.integers(min_value=1, max_value=3))
-    rng = np.random.default_rng(draw(st.integers(min_value=0,
-                                                 max_value=2**32 - 1)))
-    shapes = (n,), (n, n), (n, len(ALPHABET))
-    base = tuple(np.select([u < 0.1, u < 0.35],
-                           [-np.inf, 0.0], np.log(u + 1e-3))
-                 for u in map(rng.random, shapes))
-    kinds = draw(st.lists(st.sampled_from(["copy", np.float64, np.float32]),
-                          min_size=2, max_size=2))
-    params = [base] + [base if kind == "copy" else nudged(rng, base, kind)
-                       for kind in kinds]
-    return [params[i] for i in draw(st.permutations(range(3)))]
-
-
-@given(near_tied_params(), st.integers(min_value=1, max_value=4),
-       st.text(alphabet="ACDEF", min_size=1, max_size=120))
-@settings(max_examples=200, deadline=None)
-def test_property_screened_labels_are_the_float64_labels(exact, half_width,
-                                                         residues):
-    width = 2 * half_width + 1
-    residues = residues * (1 + 2 * width // len(residues))
-    symbols = encode_residues(residues)
-    screen = [[a.astype(np.float32) for a in p] for p in exact]
-    float64_only = predictor._first_max(
-        *[_window_scores(*p, symbols, width) for p in exact])
-    assert predictor._label_windows(screen, exact, residues, width) \
-        == "".join(predictor.TIE_BREAK[i] for i in float64_only).encode()
 
 
 def test_predict_structures_memory_grows_by_a_few_bytes_per_residue():
