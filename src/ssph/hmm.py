@@ -12,20 +12,32 @@ The scaled recursions are the ``forward`` and ``backward`` methods of
 ``_EStep``, the one owner of their arrays: one set per equal-length batch of
 sequences, built once per likelihood or Baum-Welch call and refilled in
 place by every EM iteration. ``_EStep`` takes a model and the raw sequences,
-and checks and groups them itself; the emission gather of ``forward`` clips
-instead of checking again, so it relies on every model it runs on having
-the alphabet they were checked against. ``forward`` records its model,
-which ``backward`` and ``counts`` then use. The E-step after the last
-re-estimation runs the forward pass only."""
+and checks and groups them itself; ``forward`` refuses a model whose state
+count or alphabet differs from the one they were checked against, since
+the compiled kernel reads emissions by symbol without a further check.
+``forward`` records its model, which ``backward`` and ``counts`` then use.
+The E-step after the last re-estimation runs the forward pass only.
+
+The E-step runs on a kernel chosen once per process, as the predictor's
+window kernel is: the compiled ``estep_forward`` and ``estep_counts`` of
+``_kernel.c`` (:mod:`ssph._ckernel`), or :class:`_NumpyKernel` where they
+cannot be built. Both make the same IEEE operations in one fixed order,
+written down on ``_EStep``, with no BLAS call, so trained models have the
+same bytes whichever kernel or BLAS library runs them. The log-likelihood
+is numpy's sum of numpy's logs of the scale factors under either kernel,
+so it, the likelihood trace and the ``tol`` stop still rest on numpy's
+``log``."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _ckernel
 from .errors import EmptyObservation, NoTrainingData, SymbolOutOfRange
 
 ROW_SUM_TOL = 1e-9
@@ -54,9 +66,10 @@ class Hmm:
     emission : (num_states, alphabet_size) row-stochastic emission matrix.
 
     All probability rows must sum to 1 within 1e-9. The constructor is the
-    only way a model is built: it copies the arrays, checks their shapes and
-    rows, and marks the copies read-only, so instances are immutable and
-    safe to share between threads.
+    only way a model is built: it copies the arrays in C order (the compiled
+    E-step reads them row by row, whatever the caller's layout), checks
+    their shapes and rows, and marks the copies read-only, so instances are
+    immutable and safe to share between threads.
     """
 
     initial: np.ndarray
@@ -64,9 +77,9 @@ class Hmm:
     emission: np.ndarray
 
     def __post_init__(self) -> None:
-        initial = np.array(self.initial, dtype=float)
-        transition = np.array(self.transition, dtype=float)
-        emission = np.array(self.emission, dtype=float)
+        initial = np.array(self.initial, dtype=float, order="C")
+        transition = np.array(self.transition, dtype=float, order="C")
+        emission = np.array(self.emission, dtype=float, order="C")
         if initial.ndim != 1 or initial.size < 1:
             raise ValueError("initial must be a non-empty 1-D vector")
         n = initial.shape[0]
@@ -200,10 +213,143 @@ def backward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
     e_step = _EStep(model, [obs])
     if e_step.forward(model) == -math.inf:
         return -math.inf
-    [(emit, beta, scale)] = e_step.backward()
-    first = model.initial @ (emit[:, 0, 0] * beta[:, 0, 0])
+    [(steps, beta, scale)] = e_step.backward()
+    first = model.initial @ (model.emission[:, steps[0, 0]] * beta[:, 0, 0])
     with np.errstate(divide="ignore"):  # ln 0 = -inf: probability 0
         return float(np.log(np.append(scale[1:], first)).sum())
+
+
+# Windows per block of the E-step, and the lanes of its sums across
+# windows; both are part of its summation order, which _kernel.c repeats.
+E_STEP_BLOCK = 256
+E_STEP_LANES = 8
+
+_kernel = None  # the E-step kernel new _EStep objects run, chosen on first use
+
+
+def _load_kernel(source: Path = _ckernel.SOURCE, cc: str | None = None):
+    """The E-step kernel: the compiled one from ``source``, built with the
+    compiler command ``cc`` (see :func:`ssph._ckernel.load`), or
+    :data:`_NUMPY_KERNEL` where it cannot be built or loaded. Both give the
+    same bytes."""
+    return _ckernel.load(source, cc) or _NUMPY_KERNEL
+
+
+class _Batch:
+    """The arrays of one equal-length batch: its (length, batch) symbols,
+    the (states, length, batch) alphas and the (length, batch) scale factors
+    that the forward pass fills and the counts read, the scale factors'
+    logs, and the numpy kernel's buffers, each made on its first use."""
+
+    def __init__(self, obs: np.ndarray, num_states: int) -> None:
+        self.steps = np.ascontiguousarray(obs.T)
+        self.alpha = np.empty((num_states, *self.steps.shape))
+        self.scale = np.empty(self.steps.shape)
+        self.log_scale = np.empty(self.steps.shape)
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def buffer(self, name: str, shape: tuple[int, ...], dtype=float
+               ) -> np.ndarray:
+        """The batch's buffer ``name``, allocated on the first call."""
+        if name not in self._buffers:
+            self._buffers[name] = np.empty(shape, dtype)
+        return self._buffers[name]
+
+
+def _lane_sum(values: np.ndarray) -> np.ndarray:
+    """``values`` added over its last axis, the windows, in the E-step's
+    order: window b adds into lane b % E_STEP_LANES in window order, and
+    the lanes are then added in lane order."""
+    width = values.shape[-1]
+    full = width - width % E_STEP_LANES
+    lanes = values[..., :full].reshape(*values.shape[:-1], -1,
+                                       E_STEP_LANES).sum(axis=-2)
+    lanes[..., :width - full] += values[..., full:]
+    total = lanes[..., 0]
+    for lane in range(1, E_STEP_LANES):
+        total = total + lanes[..., lane]
+    return total
+
+
+class _NumpyKernel:
+    """The E-step in numpy, where the compiled kernel cannot be built: the
+    same IEEE operations in the same order, so the same bytes. Every sum
+    over states is a loop of adds in state order, since numpy adds a
+    reduced axis in its own order when it is the innermost one."""
+
+    @staticmethod
+    def forward(model: Hmm, batch: _Batch) -> None:
+        transition, alpha, scale = model.transition, batch.alpha, batch.scale
+        product = batch.buffer("product", alpha[:, 0].shape)
+        for t, symbols in enumerate(batch.steps):
+            a, c = alpha[:, t], scale[t]
+            # Symbols were checked against this alphabet in _EStep, so
+            # clipping (half the time of the default mode) changes none.
+            emit = model.emission.take(symbols, axis=1, mode="clip")
+            if t:
+                previous = alpha[:, t - 1]
+                np.multiply(transition[0, :, None], previous[0], out=a)
+                for i in range(1, len(a)):
+                    a += np.multiply(transition[i, :, None], previous[i],
+                                     out=product)
+                a *= emit
+            else:
+                np.multiply(model.initial[:, None], emit, out=a)
+            c[:] = a[0]
+            for j in range(1, len(a)):
+                c += a[j]
+            a /= np.where(c > 0.0, c, 1.0)
+
+    @staticmethod
+    def backward(model: Hmm, batch: _Batch
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """The batch's betas, time reversed (step t at ``length - 1 - t``),
+        and each window's transition sums, steps added from the last, in
+        buffers of the batch."""
+        transition, alpha, scale = model.transition, batch.alpha, batch.scale
+        n, length, width = alpha.shape
+        beta = batch.buffer("beta", alpha.shape)
+        moves = batch.buffer("moves", (n, n, width))
+        term = batch.buffer("term", (n, width))
+        product = batch.buffer("product", (n, width))
+        pairs = batch.buffer("pairs", (n, n, width))
+        moves.fill(0.0)
+        np.greater(alpha[:, -1], 0.0, out=beta[:, 0])
+        for t in range(length - 2, -1, -1):
+            model.emission.take(batch.steps[t + 1], axis=1, out=term,
+                                mode="clip")
+            term *= beta[:, length - 2 - t]
+            term /= scale[t + 1]
+            moves += np.multiply(alpha[:, t, None], term, out=pairs)
+            b = beta[:, length - 1 - t]
+            np.multiply(transition[:, 0, None], term[0], out=b)
+            for j in range(1, n):
+                b += np.multiply(transition[:, j, None], term[j], out=product)
+            b *= alpha[:, t] > 0.0
+        return beta, moves
+
+    @classmethod
+    def counts(cls, model: Hmm, batch: _Batch
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        gamma, moves = cls.backward(model, batch)
+        n, m = model.emission.shape
+        length, width = batch.steps.shape
+        blocks = -(-width // E_STEP_BLOCK)
+        # Each symbol's bin in its block's counts, steps from the last.
+        keys = batch.buffer("keys", (length, width), np.intp)
+        np.add(batch.steps[::-1], m * (np.arange(width) // E_STEP_BLOCK),
+               out=keys)
+        np.multiply(batch.alpha[:, ::-1], gamma, out=gamma)  # posteriors
+        emitted = np.empty((n, m))
+        for j in range(n):
+            by_block = np.bincount(keys.reshape(-1),
+                                   weights=gamma[j].reshape(-1),
+                                   minlength=blocks * m)
+            emitted[j] = np.add.accumulate(by_block.reshape(blocks, m))[-1]
+        return _lane_sum(gamma[:, -1]), _lane_sum(moves), emitted
+
+
+_NUMPY_KERNEL = _NumpyKernel()
 
 
 class _EStep:
@@ -215,30 +361,48 @@ class _EStep:
     the state count and alphabet of ``model``. :meth:`forward` gives the
     log-likelihood of the data under a model, -inf if a sequence has
     probability 0; :meth:`counts` then gives that model's expected counts
-    from the lattices it left, if that was finite, so a caller that needs
-    only the likelihood skips the backward pass. The working arrays of each
-    batch are allocated once, here, and every call refills them in place;
-    an iteration allocates only per-step (states, batch) vectors. Each call
-    builds its own, so concurrent calls share nothing."""
+    from the alphas it left, if that was finite, so a caller that needs
+    only the likelihood skips the backward pass.
+
+    Both run on the module's kernel: the compiled one of ``_kernel.c``, or
+    :class:`_NumpyKernel` where that cannot be built. They make the same
+    IEEE operations in the same order, none of them a BLAS call, so the
+    counts have the same bytes on every BLAS and SIMD target:
+    - a step's alpha of state j adds ``T[i][j] * alpha(t-1, i)`` over i in
+      index order and then multiplies j's emission; the scale factor ``c``
+      adds the alphas in state order, and divides them where it is > 0;
+    - a step's beta of state i adds ``T[i][j] * term_j`` over j in index
+      order, ``term_j = e_j(o_t+1) * beta(t+1, j) / c(t+1)``, and is 0
+      where alpha is;
+    - a window's transition sum ``alpha(t, i) * term_j`` adds its steps
+      from the last to the first; the transition count is ``T[i][j]``
+      times the sum of those over windows;
+    - the start counts and the transition sums add across windows in
+      ``E_STEP_LANES`` lanes: window b into lane b % E_STEP_LANES in window
+      order, then the lanes in lane order;
+    - the emission counts add each block of ``E_STEP_BLOCK`` windows on its
+      own, steps from the last and windows in order, and then the blocks in
+      order;
+    - batches add their counts in order of length, and the log-likelihood
+      is the sum of each batch's numpy sum of ln c.
+
+    Each batch keeps its symbols, alphas and scale factors from
+    :meth:`forward` to :meth:`counts`; the compiled counts use no more,
+    and the numpy ones add their buffers on their first call. Every later
+    call refills them in place. Each call builds its own, so concurrent
+    calls share nothing."""
 
     def __init__(self, model: Hmm, training: Iterable[Sequence[int]]) -> None:
         batches = _length_batches(model, training)
         if not batches:
             raise NoTrainingData("training collection is empty")
+        global _kernel
+        if _kernel is None:
+            _kernel = _load_kernel()
+        self._kernel = _kernel
+        self._shape = model.emission.shape
         self._model: Hmm | None = None
-        self._work = []
-        for obs in batches:
-            batch, length = obs.shape
-            lattice = (model.num_states, length, batch)
-            self._work.append((
-                np.ascontiguousarray(obs.T),  # (length, batch) symbols
-                np.empty(lattice),            # emission probabilities
-                np.empty(lattice),            # alpha
-                np.empty(lattice),            # beta, then the posteriors
-                np.empty((model.num_states, length - 1, batch)),  # e * beta / c
-                np.empty((length, batch)),    # scale factors c
-                np.empty((length, batch)),    # their logs
-            ))
+        self._work = [_Batch(obs, model.num_states) for obs in batches]
 
     def forward(self, model: Hmm) -> float:
         """Total log-likelihood of the data under ``model``, which
@@ -247,31 +411,25 @@ class _EStep:
         log-likelihood is the sum of ln c. A step whose total mass is 0, or
         underflows double precision, gets ``c = 0`` and all-zero alphas from
         then on, so the total is -inf: probability 0."""
+        if model.emission.shape != self._shape:
+            raise ValueError(f"the E-step's data was checked against "
+                             f"{self._shape} emissions, not "
+                             f"{model.emission.shape}")
         self._model = model
         total_ll = 0.0
-        for steps, emit, alpha, _, _, scale, log_scale in self._work:
-            # Symbols were checked against this alphabet in __init__, so
-            # clipping (half the time of the default mode) changes none.
-            np.take(model.emission, steps, axis=1, out=emit, mode="clip")
-            np.multiply(model.initial[:, None], emit[:, 0], out=alpha[:, 0])
-            for t in range(emit.shape[1]):
-                a = alpha[:, t]
-                if t:
-                    np.matmul(model.transition.T, alpha[:, t - 1], out=a)
-                    a *= emit[:, t]
-                c = a.sum(axis=0, out=scale[t])
-                a /= np.where(c > 0.0, c, 1.0)
+        for batch in self._work:
+            self._kernel.forward(model, batch)
             with np.errstate(divide="ignore"):  # ln 0 = -inf: probability 0
-                total_ll += float(np.log(scale, out=log_scale).sum())
+                total_ll += float(np.log(batch.scale, out=batch.log_scale)
+                                  .sum())
         return total_ll
 
     def backward(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Backward pass of the last :meth:`forward`, divided by the same
-        scale factors, so that alpha * beta is the state posterior. The
-        scale factors must be positive, as they are when every sequence is
-        possible. Returns the emission probabilities, betas and scale
-        factors of each batch, and leaves the term ``e(t+1) * beta(t+1) /
-        c(t+1)`` of each step for the transition counts.
+        """Backward pass of the last :meth:`forward`, in numpy whatever the
+        kernel, divided by the same scale factors, so that alpha * beta is
+        the state posterior. The scale factors must be positive, as they
+        are when every sequence is possible. Returns the symbols, betas and
+        scale factors of each batch.
 
         Beta is set to 0 wherever alpha is 0. The scaling bounds beta only
         for states the forward pass reaches; an unreachable state's beta
@@ -279,14 +437,9 @@ class _EStep:
         is exact: if alpha(t+1, j) = 0 then a(i, j) e_j(o_t+1) = 0 for every
         i with alpha(t, i) > 0, so no reachable beta and no posterior
         changes."""
-        transition = self._model.transition
-        for _, emit, alpha, beta, nxt, scale, _ in self._work:
-            np.greater(alpha, 0.0, out=beta)
-            for t in range(emit.shape[1] - 2, -1, -1):
-                term = np.multiply(emit[:, t + 1], beta[:, t + 1], out=nxt[:, t])
-                term /= scale[t + 1]
-                beta[:, t] *= transition @ term
-        return [(e, b, c) for _, e, _, b, _, c, _ in self._work]
+        return [(batch.steps,
+                 _NumpyKernel.backward(self._model, batch)[0][:, ::-1],
+                 batch.scale) for batch in self._work]
 
     def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Expected start/transition/emission counts of the training data
@@ -296,16 +449,11 @@ class _EStep:
         start = np.zeros(n)
         trans = np.zeros((n, n))
         emit = np.zeros((n, m))
-        self.backward()
-        for steps, _, alpha, beta, nxt, _, _ in self._work:
-            gamma = np.multiply(alpha, beta, out=beta)  # state posteriors
-            start += gamma[:, 0].sum(axis=1)
-            symbols = steps.reshape(-1)
-            for k in range(n):
-                emit[k] += np.bincount(symbols, weights=gamma[k].reshape(-1),
-                                       minlength=m)
-            trans += model.transition * (alpha[:, :-1].reshape(n, -1)
-                                         @ nxt.reshape(n, -1).T)
+        for batch in self._work:
+            batch_start, moves, emitted = self._kernel.counts(model, batch)
+            start += batch_start
+            trans += model.transition * moves
+            emit += emitted
         return start, trans, emit
 
 

@@ -1,8 +1,9 @@
 """Shared test utilities: random stochastic arrays and models built straight
 from numpy draws (independent of the package's own model generator), the
 stub model sets used by the predictor fixtures, probability rows that carry
-faults on the edges of the model row check, and the model and log-parameter
-strategies of the window kernel tests."""
+faults on the edges of the model row check, the model and log-parameter
+strategies of the window kernel tests, and the edge-case models and
+sampled observations of the E-step tests."""
 
 import functools
 import math
@@ -11,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 from hypothesis import strategies as st
 
-from ssph import ALPHABET, ClassModelSet, Hmm, predictor
+from ssph import ALPHABET, ClassModelSet, Hmm, hmm, predictor
 from ssph.hmm import ROW_SUM_TOL
 
 
@@ -75,16 +76,24 @@ def window_kernels():
             ("numpy", predictor._window_scores))
 
 
+@functools.cache
+def e_step_kernels():
+    """The E-step kernels: the compiled one (the numpy one again on a host
+    where it cannot be built) and the numpy one."""
+    return hmm._load_kernel(), hmm._NUMPY_KERNEL
+
+
 @contextmanager
-def kernel_in_use(kernel):
-    """Make ``kernel`` the one the predictor scores windows with, inside
-    the ``with`` block."""
-    saved = predictor._kernel
-    predictor._kernel = kernel
+def kernel_in_use(kernel, module=predictor):
+    """Make ``kernel`` the one ``module`` runs inside the ``with`` block:
+    the window kernel of the predictor, or with ``module=hmm`` the E-step
+    kernel of each ``_EStep`` built in the block."""
+    saved = module._kernel
+    module._kernel = kernel
     try:
         yield
     finally:
-        predictor._kernel = saved
+        module._kernel = saved
 
 
 # Entries on the edges of the [0, 1] range check, and row-sum offsets a few
@@ -178,3 +187,49 @@ def near_tied_params(draw):
     params = [base] + [base if kind == "copy" else nudged(rng, base, kind)
                        for kind in kinds]
     return [params[i] for i in draw(st.permutations(range(3)))]
+
+
+def sample(rng, model, length):
+    """Observations drawn from ``model``, so their probability is nonzero."""
+    state = rng.choice(model.num_states, p=model.initial)
+    obs = []
+    for _ in range(length):
+        obs.append(int(rng.choice(model.alphabet_size,
+                                  p=model.emission[state])))
+        state = rng.choice(model.num_states, p=model.transition[state])
+    return obs
+
+
+def sample_batch(rng, model, batch, length):
+    """A (batch, length) array of ``batch`` sequences drawn from ``model``
+    at once, so each has nonzero probability."""
+    def draw(rows):
+        cumulative = np.cumsum(rows, axis=-1)
+        u = rng.random(len(rows)) * cumulative[:, -1]
+        return (u[:, None] >= cumulative).sum(axis=-1)
+
+    states = draw(np.broadcast_to(model.initial, (batch, model.num_states)))
+    out = np.empty((batch, length), dtype=np.intp)
+    for t in range(length):
+        out[:, t] = draw(model.emission[states])
+        states = draw(model.transition[states])
+    return out
+
+
+def underflowing_hmm():
+    """Symbol 1 needs the 1e-200 step 0 -> 1 and then a 1e-200 emission, so
+    [0, 1] has probability 1e-400, which underflows double precision."""
+    return Hmm(initial=np.array([1.0, 0.0]),
+               transition=np.array([[1.0, 1e-200], [0.0, 1.0]]),
+               emission=np.array([[1.0, 0.0], [1.0, 1e-200]]))
+
+
+# State 1 is never entered, and emits symbol 0 with probability 1 against
+# state 0's 1/21, so without a guard its scaled beta grows by 21 per step
+# (or 10.5 when it can leave to state 0) and overflows within 400 steps.
+UNREACHABLE_TRANSITIONS = ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.5, 0.5]])
+
+
+def unreachable_state_hmm(transition):
+    return Hmm(initial=np.array([1.0, 0.0]), transition=np.array(transition),
+               emission=np.array([[1 / 21] * 21, [1.0] + [0.0] * 20]))

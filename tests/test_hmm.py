@@ -18,11 +18,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 import oracle
 import reference_estep
 import ssph
-from helpers import (faulty_rows, model_and_run, random_model,
-                     random_model_with_zeros, small_cases)
+from helpers import (UNREACHABLE_TRANSITIONS, e_step_kernels, faulty_rows,
+                     kernel_in_use, model_and_run, random_model,
+                     random_model_with_zeros, sample, sample_batch,
+                     small_cases,
+                     underflowing_hmm, unreachable_state_hmm)
 from ssph import (Hmm, backward_log_likelihood, baum_welch,
-                  forward_log_likelihood, new_random_hmm, sequence_score,
-                  viterbi)
+                  forward_log_likelihood, hmm, new_random_hmm,
+                  sequence_score, viterbi)
 from ssph.errors import EmptyObservation, NoTrainingData, SymbolOutOfRange
 from ssph.hmm import (ROW_SUM_TOL, _check_stochastic, _EStep,
                       _length_batches, _log_params, _reestimate)
@@ -343,14 +346,6 @@ def single_symbol_hmm():
                emission=np.array([[1.0, 0.0]]))
 
 
-def underflowing_hmm():
-    """Symbol 1 needs the 1e-200 step 0 -> 1 and then a 1e-200 emission, so
-    [0, 1] has probability 1e-400, which underflows double precision."""
-    return Hmm(initial=np.array([1.0, 0.0]),
-               transition=np.array([[1.0, 1e-200], [0.0, 1.0]]),
-               emission=np.array([[1.0, 0.0], [1.0, 1e-200]]))
-
-
 @pytest.mark.parametrize("make", [single_symbol_hmm, underflowing_hmm])
 def test_zero_probability_likelihood_is_minus_inf_without_warnings(make):
     model = make()
@@ -370,17 +365,6 @@ def test_baum_welch_rejects_a_zero_probability_sequence(make):
 
 
 # -------------------------------------------------------- unreachable states
-
-# State 1 is never entered, and emits symbol 0 with probability 1 against
-# state 0's 1/21, so without a guard its scaled beta grows by 21 per step
-# (or 10.5 when it can leave to state 0) and overflows within 400 steps.
-UNREACHABLE_TRANSITIONS = ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.5, 0.5]])
-
-
-def unreachable_state_hmm(transition):
-    return Hmm(initial=np.array([1.0, 0.0]), transition=np.array(transition),
-               emission=np.array([[1 / 21] * 21, [1.0] + [0.0] * 20]))
-
 
 @pytest.mark.parametrize("transition", UNREACHABLE_TRANSITIONS)
 def test_unreachable_state_keeps_long_likelihoods_finite(transition):
@@ -546,17 +530,6 @@ def assert_counts_close(got, expected, tol):
     assert abs(got[3] - expected[3]) <= tol
 
 
-def sample(rng, model, length):
-    """Observations drawn from ``model``, so their probability is nonzero."""
-    state = rng.choice(model.num_states, p=model.initial)
-    obs = []
-    for _ in range(length):
-        obs.append(int(rng.choice(model.alphabet_size,
-                                  p=model.emission[state])))
-        state = rng.choice(model.num_states, p=model.transition[state])
-    return obs
-
-
 def test_expected_counts_match_enumeration_on_small_cases():
     rng = np.random.default_rng(1212)
     for i, (model, _) in enumerate(small_cases(120, seed=1111)):
@@ -610,7 +583,12 @@ def reference_cases(seed):
 
 
 def test_e_step_equals_the_allocating_e_step_bit_for_bit():
-    for model, seqs in reference_cases(2121):
+    # The last case is one batch of 2 * E_STEP_BLOCK + 13 windows: its sums
+    # across windows wrap the lanes and span three blocks.
+    rng = np.random.default_rng(2121)
+    wide = random_model(rng, 3, 6)
+    windows = sample_batch(rng, wide, 2 * hmm.E_STEP_BLOCK + 13, 5)
+    for model, seqs in [*reference_cases(2121), (wide, windows)]:
         batches = _length_batches(model, seqs)
         assert_bit_identical(expected_counts(model, seqs),
                              reference_estep._expected_counts(model, batches))
@@ -673,22 +651,82 @@ def test_reused_buffers_forget_the_previous_model():
     assert_bit_identical(first, reference_estep._expected_counts(a, batches))
 
 
+def test_counts_and_likelihoods_agree_with_the_blas_e_step():
+    # The E-step before its summation order was fixed: BLAS products, whose
+    # last bits depend on the BLAS kernel. Only the order of the sums moved.
+    # A likelihood near 0 is a sum of logs of scale factors within ulps of
+    # 1, so it is compared to within 1e-12 absolute as well.
+    for model, seqs in reference_cases(2626):
+        batches = _length_batches(model, seqs)
+        got = expected_counts(model, seqs)
+        blas = reference_estep.blas_expected_counts(model, batches)
+        for a, b in zip(got[:3], blas[:3]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+        assert got[3] == pytest.approx(blas[3], rel=1e-12, abs=1e-12)
+
+
 def test_a_reused_e_step_allocates_no_lattice():
     # numpy reports its array buffers to tracemalloc. Working arrays are
-    # allocated when the E-step is built; a call then allocates only
-    # per-step vectors, far less than one (states, length, batch) lattice.
+    # allocated when the E-step is built or first run; a call then
+    # allocates only per-step vectors, far less than one (states, length,
+    # batch) lattice. Under either E-step kernel.
     model = new_random_hmm(3, 21, seed=6)
     windows = np.random.default_rng(6).integers(0, 21, size=(3000, 11))
-    e_step = _EStep(model, windows)
-    first = run_e_step(e_step, model)
-    tracemalloc.start()
-    try:
-        again = run_e_step(e_step, model)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert_bit_identical(again, first)
-    assert peak < windows.size * 3 * 8 / 4
+    for kernel in e_step_kernels():
+        with kernel_in_use(kernel, hmm):
+            e_step = _EStep(model, windows)
+        first = run_e_step(e_step, model)
+        tracemalloc.start()
+        try:
+            again = run_e_step(e_step, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_bit_identical(again, first)
+        assert peak < windows.size * 3 * 8 / 4
+
+
+def test_a_likelihood_allocates_no_backward_lattice():
+    # forward_log_likelihood and the set-up of baum_welch allocate the
+    # symbols, alphas, scale factors and their logs: 3 + states arrays of
+    # (length, batch) doubles, and per-step vectors far smaller than the
+    # two more allowed here; no backward or posterior lattice (the E-step
+    # that kept those allocated 3 + 4 * states). Under either E-step
+    # kernel.
+    model = new_random_hmm(3, 21, seed=7)
+    windows = np.random.default_rng(7).integers(0, 21, size=(3000, 11))
+    for kernel in e_step_kernels():
+        with kernel_in_use(kernel, hmm):
+            tracemalloc.start()
+            try:
+                e_step = _EStep(model, windows)
+                e_step.forward(model)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < windows.size * 8 * (3 + 3 + 2)
+
+
+def test_a_model_of_fortran_ordered_arrays_gives_the_c_ordered_bytes():
+    # Hmm copies its arrays in C order, so a model built from a Fortran
+    # array or a transposed view trains and scores as the C-ordered one,
+    # under either E-step kernel.
+    rng = np.random.default_rng(2828)
+    model = random_model_with_zeros(rng, 3, 5)
+    seqs = [sample(rng, model, k) for k in (1, 6, 6, 13)]
+    fortran = Hmm(model.initial, np.asfortranarray(model.transition),
+                  np.ascontiguousarray(model.emission.T).T)
+    for kernel in e_step_kernels():
+        with kernel_in_use(kernel, hmm):
+            runs = [(forward_log_likelihood(m, seqs[-1]),
+                     backward_log_likelihood(m, seqs[-1]),
+                     baum_welch(m, seqs, max_iters=3, tol=1e-12))
+                    for m in (model, fortran)]
+        (ll, back, (got, trace)), (f_ll, f_back, (f_got, f_trace)) = runs
+        assert (f_ll, f_back, f_trace) == (ll, back, trace)
+        for name in ("initial", "transition", "emission"):
+            assert getattr(f_got, name).tobytes() == \
+                getattr(got, name).tobytes()
 
 
 def test_zero_probability_is_minus_inf_at_the_first_and_at_a_later_e_step():

@@ -1,11 +1,15 @@
-"""The compiled window kernel (``src/ssph/_kernel.c``): its scores are the
-numpy kernel's float64 bytes, with the library built for each SIMD target
-this CPU has, and its build falls back to the numpy kernel or lands one
-whole library when processes race."""
+"""The compiled kernels (``src/ssph/_kernel.c``): the window kernel's scores
+are the numpy kernel's float64 bytes, and the E-step's likelihoods and
+counts are its numpy form's bytes, with the library built for each SIMD
+target this CPU has; the build falls back to the numpy kernels, tries a
+failed build once per source and command, and lands one whole library when
+processes race."""
 
 import hashlib
+import math
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -17,11 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (kernel_in_use, model_and_run, near_tied_params,
-                     random_model, random_model_with_zeros)
-from ssph import (_ckernel, planted_dataset, planted_models,
+from helpers import (UNREACHABLE_TRANSITIONS, kernel_in_use, model_and_run,
+                     near_tied_params, random_model, random_model_with_zeros,
+                     sample_batch, underflowing_hmm, unreachable_state_hmm)
+from ssph import (Hmm, _ckernel, hmm, planted_dataset, planted_models,
                   predict_structures, predictor)
-from ssph.hmm import _log_params
+from ssph.hmm import E_STEP_BLOCK, _EStep, _log_params
 from ssph.predictor import _window_scores
 
 SRC = Path(predictor.__file__).resolve().parents[1]
@@ -158,14 +163,66 @@ def labels_with(kernel):
 def test_a_failed_build_falls_back_to_the_numpy_kernel(tmp_path, cc):
     # A compiler that does not exist, and one that exits with an error:
     # the numpy kernel scores, with the same labels, and the build leaves
-    # no temp file beside the source.
+    # its failure marker beside the source and no temp file.
     source = tmp_path / "_kernel.c"
     shutil.copy(_ckernel.SOURCE, source)
     kernel = predictor._load_kernel(source, str(tmp_path / cc)
                                     if cc.startswith("no-") else cc)
     assert kernel is _window_scores
-    assert os.listdir(tmp_path) == ["_kernel.c"]
+    marker, rest = sorted(os.listdir(tmp_path))
+    assert re.fullmatch(r"_kernel-[0-9a-f]{8}\.failed", marker)
+    assert rest == "_kernel.c"
     assert labels_with(kernel) == labels_with(compiled_kernel())
+
+
+def logging_compiler(tmp_path, ending):
+    """A copy of the kernel source, and a compiler command that appends a
+    line to the returned log on each run and then runs the shell line
+    ``ending``."""
+    source = tmp_path / "src" / "_kernel.c"
+    source.parent.mkdir()
+    shutil.copy(_ckernel.SOURCE, source)
+    runs = tmp_path / "runs"
+    cc = tmp_path / "cc"
+    cc.write_text(f"#!/bin/sh\necho run >> '{runs}'\n{ending}\n")
+    cc.chmod(0o755)
+    return source, str(cc), runs
+
+
+def load_in_a_new_process(source, cc):
+    """:func:`_ckernel.load` as a new process makes it, with no result kept
+    from earlier calls in this one."""
+    _ckernel.load.cache_clear()
+    return _ckernel.load(source, cc)
+
+
+def test_a_failed_build_runs_the_compiler_once_per_command(tmp_path):
+    # A compiler that logs each run and fails. A second load with the same
+    # command and source does not run it, in this process or a new one;
+    # deleting the marker, or another command, builds again.
+    source, cc, runs = logging_compiler(tmp_path, "exit 1")
+    for _ in range(2):
+        assert load_in_a_new_process(source, cc) is None
+        assert predictor._load_kernel(source, cc) is _window_scores
+        assert hmm._load_kernel(source, cc) is hmm._NUMPY_KERNEL
+    assert runs.read_text() == "run\n"
+    [marker] = source.parent.glob("_kernel-*.failed")
+    marker.unlink()
+    assert load_in_a_new_process(source, cc) is None
+    assert _ckernel.load(source, f"{cc} -O2") is None
+    assert runs.read_text() == "run\n" * 3
+    assert len(list(source.parent.glob("_kernel-*.failed"))) == 2
+
+
+def test_a_compiler_killed_by_a_signal_leaves_no_failure_marker(tmp_path):
+    # A kill need not come again, so the build falls back without a marker
+    # or a temp file, and the next process runs the compiler again.
+    source, cc, runs = logging_compiler(tmp_path, "kill -KILL $$")
+    for _ in range(2):
+        assert load_in_a_new_process(source, cc) is None
+    assert hmm._load_kernel(source, cc) is hmm._NUMPY_KERNEL
+    assert runs.read_text() == "run\n" * 2
+    assert os.listdir(source.parent) == ["_kernel.c"]
 
 
 BUILD = """
@@ -196,3 +253,130 @@ def test_concurrent_builds_load_the_same_library(tmp_path):
     assert library.parent == tmp_path
     assert set(os.listdir(tmp_path)) == {"_kernel.c", library.name}
     assert hashlib.sha256(library.read_bytes()).hexdigest() == digest
+
+
+# ----------------------------------------------------------------- E-step
+
+def compiled_e_step():
+    """The E-step kernel ``hmm._load_kernel`` gives; skips the test on a
+    host where the compiled one cannot be built."""
+    kernel = hmm._load_kernel()
+    if kernel is hmm._NUMPY_KERNEL:
+        pytest.skip("the compiled E-step cannot be built here")
+    return kernel
+
+
+def tiny_model(rng, num_states, alphabet_size):
+    """A random model with about a third of its entries near 1e-300, so
+    that its alphas and betas reach subnormal numbers and 0."""
+    def rows(shape):
+        u = rng.random(shape) + 1e-3
+        u[rng.random(shape) < 0.35] *= 1e-300
+        return u / u.sum(axis=-1, keepdims=True)
+
+    return Hmm(initial=rows(num_states),
+               transition=rows((num_states, num_states)),
+               emission=rows((num_states, alphabet_size)))
+
+
+@st.composite
+def e_step_inputs(draw):
+    """A model and a (batch, length) batch of its sequences: random models
+    of 1 to 8 states over 1, 2, 5 or 21 symbols, with or without zero
+    entries or with entries near 1e-300, an unreachable-state model, or
+    the underflowing model on 0/1 runs, most of which it gives
+    probability 0; lengths 1 to 30; batches of 1, 2, 7, E_STEP_BLOCK - 1,
+    E_STEP_BLOCK, E_STEP_BLOCK + 1 and several blocks of windows."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0,
+                                                 max_value=2**32 - 1)))
+    source = draw(st.sampled_from(["random", "zeros", "tiny", "unreachable",
+                                   "underflowing"]))
+    length = draw(st.sampled_from(range(1, 31)))
+    batch = draw(st.sampled_from([1, 2, 7, E_STEP_BLOCK - 1, E_STEP_BLOCK,
+                                  E_STEP_BLOCK + 1, 3 * E_STEP_BLOCK + 5]))
+    if source == "underflowing":
+        symbols = (rng.random((batch, length)) < 0.02).astype(np.intp)
+        return underflowing_hmm(), symbols
+    if source == "unreachable":
+        model = unreachable_state_hmm(
+            draw(st.sampled_from(UNREACHABLE_TRANSITIONS)))
+    else:
+        make = {"random": random_model, "zeros": random_model_with_zeros,
+                "tiny": tiny_model}[source]
+        model = make(rng, draw(st.sampled_from(range(1, 9))),
+                     draw(st.sampled_from([1, 2, 5, 21])))
+    return model, sample_batch(rng, model, batch, length)
+
+
+def e_step_bytes(kernel, model, symbols):
+    """The bytes of forward's log-likelihood, alphas and scale factors
+    under ``kernel``, and of the three counts where the likelihood is
+    finite."""
+    with kernel_in_use(kernel, hmm):
+        e_step = _EStep(model, symbols)
+    ll = e_step.forward(model)
+    arrays = [batch.alpha for batch in e_step._work]
+    arrays += [batch.scale for batch in e_step._work]
+    if ll > -math.inf:
+        arrays += e_step.counts()
+    return np.float64(ll).tobytes(), [a.tobytes() for a in arrays]
+
+
+def assert_same_e_step(kernel, model, symbols):
+    assert (e_step_bytes(kernel, model, symbols)
+            == e_step_bytes(hmm._NUMPY_KERNEL, model, symbols))
+
+
+@given(e_step_inputs())
+@settings(max_examples=200, deadline=None)
+def test_property_compiled_e_step_gives_the_numpy_e_step_bytes(case):
+    assert_same_e_step(compiled_e_step(), *case)
+
+
+def test_compiled_e_step_gives_the_numpy_e_step_bytes_over_mixed_lengths():
+    # Several batches, one per length, whose counts add in length order.
+    rng = np.random.default_rng(31)
+    model = random_model_with_zeros(rng, 3, 21)
+    symbols = [row for length in (1, 11, 4, 11, 30)
+               for row in sample_batch(rng, model, 300, length)]
+    assert_same_e_step(compiled_e_step(), model, symbols)
+
+
+@pytest.mark.parametrize("transition", UNREACHABLE_TRANSITIONS)
+def test_compiled_e_step_gives_the_numpy_e_step_bytes_where_beta_overflows(
+        transition):
+    # Without the mask an unreachable state's beta grows by 10.5 or 21 per
+    # step and overflows within 400 steps; 0 * inf would then be NaN. The
+    # batch spans a block edge.
+    model = unreachable_state_hmm(transition)
+    symbols = np.zeros((E_STEP_BLOCK + 3, 400), dtype=np.intp)
+    symbols[::2, 1::3] = 1
+    assert_same_e_step(compiled_e_step(), model, symbols)
+
+
+def test_compiled_e_step_rejects_arguments_that_do_not_fit():
+    kernel = compiled_e_step()
+    rng = np.random.default_rng(8)
+    model = random_model(rng, 2, 4)
+    e_step = _EStep(model, rng.integers(0, 4, size=(5, 3)))
+    [batch] = e_step._work
+    kernel.forward(model, batch)
+    for call in (kernel.forward, kernel.counts):
+        with pytest.raises(ValueError, match="do not fit"):
+            call(random_model(rng, 3, 4), batch)
+    # The C reads emissions by symbol, so the E-step refuses a model whose
+    # alphabet differs from the one it checked the symbols against.
+    for other in (random_model(rng, 2, 3), random_model(rng, 2, 5)):
+        with pytest.raises(ValueError, match="checked against"):
+            e_step.forward(other)
+    batch.steps = batch.steps.astype(np.int32)
+    with pytest.raises(ValueError, match="do not fit"):
+        kernel.forward(model, batch)
+
+
+@pytest.mark.parametrize("flag", TARGETS)
+@given(case=e_step_inputs())
+@settings(max_examples=60, deadline=None)
+def test_property_each_target_build_gives_the_numpy_e_step_bytes(
+        target_kernel, flag, case):
+    assert_same_e_step(target_kernel(flag), *case)

@@ -1,15 +1,22 @@
 """Per-class window extraction, model fitting, and the synthetic generator."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_synthetic
+import ssph
 import ssph.synthetic
 from ssph import (Hmm, LabeledRecord, baum_welch, class_windows,
-                  new_random_hmm, planted_dataset, planted_models,
-                  predict_structure, sample_observations, train_models)
+                  format_labeled_dataset, new_random_hmm, planted_dataset,
+                  planted_models, predict_structure, sample_observations,
+                  train_models)
 from ssph.dssp import CLASS_ORDER
 from ssph.errors import (ClassHasNoData, EmptyObservation, LengthMismatch,
                          NoTrainingData, SymbolOutOfRange)
@@ -259,6 +266,43 @@ def test_trained_models_recover_planted_structure():
 
 
 # ----------------------------------------------------------------- synthetic
+
+TRAIN = """
+import sys
+from ssph.cli import main
+data, out = sys.argv[1:]
+for states in ("2", "3"):
+    main(["train", "--data", data, "--out", f"{out}-{states}", "--states",
+          states, "--window", "5", "--iters", "5", "--seed", "0"])
+"""
+
+
+def test_model_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # `ssph train` at 2 and 3 states in a child process per OpenBLAS kernel
+    # (where numpy's BLAS is not OpenBLAS, or the CPU lacks a kernel's
+    # instructions, the setting changes nothing and the files agree
+    # trivially). The E-step makes no BLAS call, so the model files are
+    # byte-identical; when it made its products through BLAS, each kernel
+    # wrote a different file.
+    data = tmp_path / "train.txt"
+    data.write_text(format_labeled_dataset(planted_dataset(20, 60, seed=3)),
+                    encoding="utf-8")
+    src = str(Path(ssph.__file__).resolve().parents[1])
+    files = {}
+    for coretype in (None, "Haswell", "SandyBridge", "Prescott"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = tmp_path / f"models-{coretype}"
+        subprocess.run([sys.executable, "-c", TRAIN, str(data), str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        for states in (2, 3):
+            files.setdefault(states, set()).add(
+                Path(f"{out}-{states}").read_bytes())
+    assert [len(files[states]) for states in (2, 3)] == [1, 1]
+
 
 def test_planted_models_have_disjoint_groups():
     groups = list(CLASS_RESIDUE_GROUPS.values())
