@@ -1,7 +1,5 @@
-"""The compiled kernels: ``_kernel.c``, the C form of
-``predictor._window_scores`` and of the E-step of ``hmm._EStep``, built on
-first use with the C compiler Python was built with and called through
-ctypes.
+"""Building and loading the compiled kernels of ``_kernel.c``, called
+through ctypes; :mod:`ssph.hmm` chooses between them and its numpy kernels.
 
 :func:`load` builds ``_kernel-<key>.so`` beside the source, where the key
 is a CRC-32 of the C bytes and the compile command, and every later call,
@@ -11,10 +9,8 @@ land a whole one. A build that will fail again, where the compiler is not
 found or exits with an error, leaves ``_kernel-<key>.failed`` in its
 place, so later calls with the same source and command fail at once
 instead of running the compiler again; deleting that file retries. Other
-failures, a compiler killed by a signal or a full disk, leave no marker. Where
-the library cannot be built or loaded, :func:`load` returns None, the
-predictor scores with the numpy window kernel and the E-step runs its
-numpy form."""
+failures, a compiler killed by a signal or a full disk, leave no marker.
+Where the library cannot be built or loaded, :func:`load` returns None."""
 
 from __future__ import annotations
 
@@ -36,7 +32,7 @@ CFLAGS = ["-O3", "-ffp-contract=off", "-shared", "-fPIC"]
 
 class Kernel:
     """The kernels in the shared library at ``library``. Called with the
-    arguments of ``predictor._window_scores``, in float64, it returns the
+    arguments of ``hmm._window_scores``, in float64, it returns the
     same bytes: each call gathers every state's emissions of the run once,
     and the C scores the windows into a new array. :meth:`forward` and
     :meth:`counts` are the E-step of ``hmm._EStep``, with the bytes of its
@@ -160,8 +156,8 @@ def library(source: Path, cc: str) -> Path:
 def load(source: Path = SOURCE, cc: str | None = None) -> Kernel | None:
     """The kernel built from ``source`` with the compiler command ``cc``
     (by default the one Python was built with), or None where it cannot be
-    built or loaded. The result is kept for the process, so the predictor
-    and the E-step share one :class:`Kernel`."""
+    built or loaded. The result is kept for the process, so a build that
+    fails without a marker runs its compiler once per process."""
     cc = cc or sysconfig.get_config_var("CC")
     if not cc:
         return None

@@ -4,9 +4,10 @@ recursions of Rabiner 1989 (Proc. IEEE 77(2), section V.A) in probability
 space.
 
 :func:`viterbi` is the one max-product recursion here, and
-:func:`sequence_score` is its log-probability. The kernel that scores every
-window of a symbol run at once is ``predictor._window_scores``, beside its
-compiled form, which makes the same additions in the same order.
+:func:`sequence_score` is its log-probability. :func:`_window_scores` runs
+the same recursion, without the backtrace, over every fixed-width window
+of a symbol run at once, with the bits of :func:`viterbi` on each window;
+the predictor labels its windows with it.
 
 The scaled recursions are the ``forward`` and ``backward`` methods of
 ``_EStep``, the one owner of their arrays: one set per equal-length batch of
@@ -18,15 +19,20 @@ the compiled kernel reads emissions by symbol without a further check.
 ``forward`` records its model, which ``backward`` and ``counts`` then use.
 The E-step after the last re-estimation runs the forward pass only.
 
-The E-step runs on a kernel chosen once per process, as the predictor's
-window kernel is: the compiled ``estep_forward`` and ``estep_counts`` of
-``_kernel.c`` (:mod:`ssph._ckernel`), or :class:`_NumpyKernel` where they
-cannot be built. Both make the same IEEE operations in one fixed order,
-written down on ``_EStep``, with no BLAS call, so trained models have the
-same bytes whichever kernel or BLAS library runs them. The log-likelihood
-is numpy's sum of numpy's logs of the scale factors under either kernel,
-so it, the likelihood trace and the ``tol`` stop still rest on numpy's
-``log``."""
+The window scores and the E-step run on one kernel, chosen once per
+process by :func:`_chosen_kernel`: the compiled ``window_scores``,
+``estep_forward`` and ``estep_counts`` of ``_kernel.c``, which
+:mod:`ssph._ckernel` builds on first use with the C compiler Python was
+built with into a library beside the source that later runs load, or
+:data:`_NUMPY_KERNEL` where that library cannot be built or loaded. Both
+have the same three entry points: a call scores windows, and ``forward``
+and ``counts`` are the E-step. Each compiled entry makes the same IEEE
+operations in the same order as its numpy form, so labels and trained
+models have the same bytes whichever kernel runs. The E-step's order is
+written down on ``_EStep``, with no BLAS call, so trained models do not
+depend on the BLAS library either. The log-likelihood is numpy's sum of
+numpy's logs of the scale factors under either kernel, so it, the
+likelihood trace and the ``tol`` stop still rest on numpy's ``log``."""
 
 from __future__ import annotations
 
@@ -199,6 +205,53 @@ def sequence_score(model: Hmm, obs: Sequence[int]) -> float:
     return viterbi(model, obs).log_prob
 
 
+def _window_scores(log_init: np.ndarray, log_trans: np.ndarray,
+                   log_emit: np.ndarray, symbols: np.ndarray,
+                   width: int) -> np.ndarray:
+    """Best-path log score of every ``width``-symbol window of the 1-D
+    integer run ``symbols``: entry ``s`` scores ``symbols[s:s + width]``.
+    It is the max-product recursion of :func:`viterbi` without the
+    backtrace, run on all windows at once. Every float64 score equals
+    ``viterbi(...).log_prob`` bit for bit.
+
+    Each state's emissions are gathered once per symbol, and step ``t`` of
+    every window adds the contiguous slice ``emit[j][t:t + m]`` of them, so
+    no window array is built. ``delta`` holds one contiguous (m,) vector per
+    state, and each step takes each target state's maximum over its
+    predecessors as ``np.maximum`` over those vectors.
+
+    A step allocates nothing: the initial and transition log parameters
+    become 0-d arrays once per call, which cost less per add than Python
+    floats, and every add and maximum writes into a ``new`` vector per state
+    or one ``tmp``, allocated per call; ``delta`` and ``new`` swap after
+    each step. This is exact because it makes the same additions in the
+    same order as a plain allocating recursion, ``max`` returns one of its
+    inputs, and the buffers live for one call only, so the result shares
+    memory with no input and no other call."""
+    m = len(symbols) - width + 1
+    states = range(len(log_init))
+    # Local names for what the step loop looks up on every ufunc call: on
+    # a few thousand windows the lookups cost about a tenth of the kernel.
+    add, maximum, rest = np.add, np.maximum, states[1:]
+    init = [np.array(v) for v in log_init]
+    trans = [[np.array(v) for v in row] for row in log_trans]
+    emit = [log_emit[j].take(symbols) for j in states]
+    delta = [add(init[j], emit[j][:m]) for j in states]
+    new = [np.empty(m) for _ in states]
+    tmp = np.empty(m)
+    for t in range(1, width):
+        for j in states:
+            best = add(delta[0], trans[0][j], new[j])
+            for i in rest:
+                maximum(best, add(delta[i], trans[i][j], tmp), out=best)
+            add(best, emit[j][t:t + m], best)
+        delta, new = new, delta
+    best = delta[0]
+    for d in delta[1:]:
+        maximum(best, d, out=best)
+    return best
+
+
 def forward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
     """ln P(obs | model), summing over all state paths with the scaled forward
     recursion. -inf if the probability is 0, also when a step's total mass
@@ -223,17 +276,6 @@ def backward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
 # windows; both are part of its summation order, which _kernel.c repeats.
 E_STEP_BLOCK = 256
 E_STEP_LANES = 8
-
-_kernel = None  # the E-step kernel new _EStep objects run, chosen on first use
-
-
-def _load_kernel(source: Path = _ckernel.SOURCE, cc: str | None = None):
-    """The E-step kernel: the compiled one from ``source``, built with the
-    compiler command ``cc`` (see :func:`ssph._ckernel.load`), or
-    :data:`_NUMPY_KERNEL` where it cannot be built or loaded. Both give the
-    same bytes."""
-    return _ckernel.load(source, cc) or _NUMPY_KERNEL
-
 
 class _Batch:
     """The arrays of one equal-length batch: its (length, batch) symbols,
@@ -272,10 +314,13 @@ def _lane_sum(values: np.ndarray) -> np.ndarray:
 
 
 class _NumpyKernel:
-    """The E-step in numpy, where the compiled kernel cannot be built: the
-    same IEEE operations in the same order, so the same bytes. Every sum
-    over states is a loop of adds in state order, since numpy adds a
-    reduced axis in its own order when it is the innermost one."""
+    """The kernels in numpy, where the compiled ones cannot be built: the
+    same IEEE operations in the same order, so the same bytes. A call is
+    :func:`_window_scores`. In the E-step every sum over states is a loop
+    of adds in state order, since numpy adds a reduced axis in its own
+    order when it is the innermost one."""
+
+    __call__ = staticmethod(_window_scores)
 
     @staticmethod
     def forward(model: Hmm, batch: _Batch) -> None:
@@ -351,6 +396,24 @@ class _NumpyKernel:
 
 _NUMPY_KERNEL = _NumpyKernel()
 
+_kernel = None  # the kernel of this process, chosen on first use
+
+
+def _load_kernel(source: Path = _ckernel.SOURCE, cc: str | None = None):
+    """The compiled kernel from ``source``, built with the compiler command
+    ``cc`` (see :func:`ssph._ckernel.load`), or :data:`_NUMPY_KERNEL` where
+    it cannot be built or loaded. Both give the same bytes."""
+    return _ckernel.load(source, cc) or _NUMPY_KERNEL
+
+
+def _chosen_kernel():
+    """The kernel that scores windows and runs the E-step in this process:
+    :func:`_load_kernel`'s, loaded on the first call."""
+    global _kernel
+    if _kernel is None:
+        _kernel = _load_kernel()
+    return _kernel
+
 
 class _EStep:
     """The scaled forward and backward passes (Rabiner 1989, section V.A)
@@ -364,8 +427,9 @@ class _EStep:
     from the alphas it left, if that was finite, so a caller that needs
     only the likelihood skips the backward pass.
 
-    Both run on the module's kernel: the compiled one of ``_kernel.c``, or
-    :class:`_NumpyKernel` where that cannot be built. They make the same
+    Both run on the kernel of :func:`_chosen_kernel`: the compiled one of
+    ``_kernel.c``, or :class:`_NumpyKernel` where that cannot be built.
+    They make the same
     IEEE operations in the same order, none of them a BLAS call, so the
     counts have the same bytes on every BLAS and SIMD target:
     - a step's alpha of state j adds ``T[i][j] * alpha(t-1, i)`` over i in
@@ -396,10 +460,7 @@ class _EStep:
         batches = _length_batches(model, training)
         if not batches:
             raise NoTrainingData("training collection is empty")
-        global _kernel
-        if _kernel is None:
-            _kernel = _load_kernel()
-        self._kernel = _kernel
+        self._kernel = _chosen_kernel()
         self._shape = model.emission.shape
         self._model: Hmm | None = None
         self._work = [_Batch(obs, model.num_states) for obs in batches]
@@ -446,9 +507,7 @@ class _EStep:
         under the model of the last :meth:`forward`."""
         model = self._model
         n, m = model.num_states, model.alphabet_size
-        start = np.zeros(n)
-        trans = np.zeros((n, n))
-        emit = np.zeros((n, m))
+        start, trans, emit = np.zeros(n), np.zeros((n, n)), np.zeros((n, m))
         for batch in self._work:
             batch_start, moves, emitted = self._kernel.counts(model, batch)
             start += batch_start

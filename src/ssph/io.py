@@ -87,8 +87,10 @@ def read_text(path: str | Path) -> str:
 
 
 def write_texts(outputs: list[tuple[str | Path, str]]) -> None:
-    """Write each ``(path, text)`` pair, all or nothing. A path that is a
-    directory is refused first; a symlink, to a directory or not, is
+    """Write each ``(path, text)`` pair, all or nothing. Two paths that
+    land on one file (one name in one directory, once the directory's
+    symlinks are resolved) are refused first, and then a path that is a
+    directory. A symlink at the path itself, to a directory or not, is
     replaced by a regular file, as ``os.replace`` does, and its target
     keeps its bytes. Each text then goes to a new temp file beside its
     path, and the temp files are renamed in order only once all are
@@ -98,6 +100,11 @@ def write_texts(outputs: list[tuple[str | Path, str]]) -> None:
     else 0o666 less the umask. On any failure the temp files left are
     removed, and an :class:`OSError` names the path as given, never a temp
     file."""
+    landings = {Path(os.path.realpath(Path(p).parent), Path(p).name)
+                for p, _ in outputs}  # the files os.replace writes
+    if len(landings) < len(outputs):
+        raise ValueError("two outputs land on one file: " + " and ".join(
+            os.fspath(p) for p, _ in outputs))
     staged: list[tuple[Path, str | Path]] = []  # (temp file, path)
     try:
         for path, _ in outputs:

@@ -9,30 +9,22 @@ windows, one max-product pass per class model and slice over the slice's
 residues, so memory is one slice plus the sequences it spans and the
 labels. :func:`predict_structure` is its one-sequence form.
 
-This module owns the window kernel, :func:`_window_scores`: one float64
-max-product pass over every fixed-width window of a symbol run, which
-gathers each symbol's emissions once and gives the same bits as
-:func:`ssph.hmm.viterbi` on each window. ``_kernel.c`` is its compiled form:
-it makes the same additions in the same order, so it gives the same bits
-too. :func:`_load_kernel` builds it on first use with the C compiler Python
-was built with, into a library beside the source that later runs load
-(:mod:`ssph._ckernel`), and falls back to :func:`_window_scores` where it
-cannot be built or loaded. Either way every label is the float64 label.
+The windows are scored by the kernel :mod:`ssph.hmm` chooses for the
+process, compiled or numpy, so every label is the float64 label of
+:func:`ssph.hmm.viterbi` on its window.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import chain
-from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from . import _ckernel
 from .dssp import CLASS_ORDER
 from .errors import EmptySequence
-from .hmm import Hmm, _log_params
+from .hmm import Hmm, _chosen_kernel, _log_params
 from .hmm import sequence_score  # noqa: F401 (perfbench traces it here)
 
 # Residue alphabet: the 20 canonical amino acids plus 'X' for anything else.
@@ -53,8 +45,6 @@ TIE_BREAK = "HCE"
 # come on top, unseen by tracemalloc. The numpy fallback keeps three
 # float64 vectors per state, not one: 56 to 129 bytes per window.
 CHUNK_WINDOWS = 8192
-
-_kernel = None  # the kernel _label_windows calls, chosen on first use
 
 
 class _FoldTable(dict):
@@ -113,70 +103,13 @@ def _first_max(first: np.ndarray, second: np.ndarray, third: np.ndarray
     return np.where(third > np.maximum(first, second), 2, second > first)
 
 
-def _window_scores(log_init: np.ndarray, log_trans: np.ndarray,
-                   log_emit: np.ndarray, symbols: np.ndarray,
-                   width: int) -> np.ndarray:
-    """Best-path log score of every ``width``-symbol window of the 1-D
-    integer run ``symbols``: entry ``s`` scores ``symbols[s:s + width]``.
-    It is the max-product recursion of :func:`viterbi` without the
-    backtrace, run on all windows at once. Every float64 score equals
-    ``viterbi(...).log_prob`` bit for bit.
-
-    Each state's emissions are gathered once per symbol, and step ``t`` of
-    every window adds the contiguous slice ``emit[j][t:t + m]`` of them, so
-    no window array is built. ``delta`` holds one contiguous (m,) vector per
-    state, and each step takes each target state's maximum over its
-    predecessors as ``np.maximum`` over those vectors.
-
-    A step allocates nothing: the initial and transition log parameters
-    become 0-d arrays once per call, which cost less per add than Python
-    floats, and every add and maximum writes into a ``new`` vector per state
-    or one ``tmp``, allocated per call; ``delta`` and ``new`` swap after
-    each step. This is exact because it makes the same additions in the
-    same order as a plain allocating recursion, ``max`` returns one of its
-    inputs, and the buffers live for one call only, so the result shares
-    memory with no input and no other call."""
-    m = len(symbols) - width + 1
-    states = range(len(log_init))
-    # Local names for what the step loop looks up on every ufunc call: on
-    # a few thousand windows the lookups cost about a tenth of the kernel.
-    add, maximum, rest = np.add, np.maximum, states[1:]
-    init = [np.array(v) for v in log_init]
-    trans = [[np.array(v) for v in row] for row in log_trans]
-    emit = [log_emit[j].take(symbols) for j in states]
-    delta = [add(init[j], emit[j][:m]) for j in states]
-    new = [np.empty(m) for _ in states]
-    tmp = np.empty(m)
-    for t in range(1, width):
-        for j in states:
-            best = add(delta[0], trans[0][j], new[j])
-            for i in rest:
-                maximum(best, add(delta[i], trans[i][j], tmp), out=best)
-            add(best, emit[j][t:t + m], best)
-        delta, new = new, delta
-    best = delta[0]
-    for d in delta[1:]:
-        maximum(best, d, out=best)
-    return best
-
-
-def _load_kernel(source: Path = _ckernel.SOURCE, cc: str | None = None):
-    """The window kernel: the compiled one from ``source``, built with the
-    compiler command ``cc`` (see :func:`ssph._ckernel.load`), or
-    :func:`_window_scores` where it cannot be built or loaded. Both give
-    the same bytes."""
-    return _ckernel.load(source, cc) or _window_scores
-
-
 def _label_windows(params: list, residues: str, width: int) -> bytes:
     """The :data:`TIE_BREAK` label of every ``width``-residue window of
     ``residues``, given each label's float64 log parameters in that order:
     one kernel call per class over every window."""
-    global _kernel
-    if _kernel is None:
-        _kernel = _load_kernel()
+    kernel = _chosen_kernel()
     symbols = encode_residues(residues)
-    labels = _first_max(*[_kernel(*p, symbols, width) for p in params])
+    labels = _first_max(*[kernel(*p, symbols, width) for p in params])
     return _TIE_BREAK_BYTES[labels].tobytes()
 
 

@@ -34,8 +34,7 @@ from ssph import (FastaRecord, ClassModelSet, encode_residues, format_fasta,
                   new_random_hmm, planted_dataset, planted_models,
                   predict_structures, read_models, write_models)
 from ssph.cli import main
-from ssph.hmm import _log_params
-from ssph.predictor import _window_scores
+from ssph.hmm import _log_params, _window_scores
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 DIGESTS = GOLDEN / "digests.json"

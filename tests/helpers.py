@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 from hypothesis import strategies as st
 
-from ssph import ALPHABET, ClassModelSet, Hmm, hmm, predictor
+from ssph import ALPHABET, ClassModelSet, Hmm, hmm
 from ssph.hmm import ROW_SUM_TOL
 
 
@@ -69,31 +69,23 @@ def stub_model_set():
 
 
 @functools.cache
-def window_kernels():
-    """The window kernels by name: the compiled one (the numpy one again on
-    a host where it cannot be built) and the numpy one."""
-    return (("compiled", predictor._load_kernel()),
-            ("numpy", predictor._window_scores))
-
-
-@functools.cache
-def e_step_kernels():
-    """The E-step kernels: the compiled one (the numpy one again on a host
+def kernels():
+    """The kernels by name: the compiled one (the numpy one again on a host
     where it cannot be built) and the numpy one."""
-    return hmm._load_kernel(), hmm._NUMPY_KERNEL
+    return (("compiled", hmm._load_kernel()), ("numpy", hmm._NUMPY_KERNEL))
 
 
 @contextmanager
-def kernel_in_use(kernel, module=predictor):
-    """Make ``kernel`` the one ``module`` runs inside the ``with`` block:
-    the window kernel of the predictor, or with ``module=hmm`` the E-step
-    kernel of each ``_EStep`` built in the block."""
-    saved = module._kernel
-    module._kernel = kernel
+def kernel_in_use(kernel):
+    """Make ``kernel`` the one the predictor scores windows with, and each
+    ``_EStep`` built inside the ``with`` block runs, as a host runs the
+    kernel it loads."""
+    saved = hmm._kernel
+    hmm._kernel = kernel
     try:
         yield
     finally:
-        module._kernel = saved
+        hmm._kernel = saved
 
 
 # Entries on the edges of the [0, 1] range check, and row-sum offsets a few

@@ -419,18 +419,47 @@ def test_a_failed_eval_write_leaves_no_output_and_prints_no_report(
     assert tree(tmp_path) == before  # old bytes kept, no *.tmp left
 
 
+@pytest.mark.parametrize("out, csv", [("same", "same"),
+                                      ("same", "./adir/../same"),
+                                      ("dirlink/same", "adir/same")])
+def test_eval_refuses_an_out_and_csv_that_land_on_one_file(
+        tmp_path, monkeypatch, capsys, out, csv):
+    # One name in one directory, also through a '..' or a symlinked
+    # directory: the run fails before it writes anything, with one error
+    # line, and an existing file keeps its bytes.
+    labels = format_label_records([("a", "HHEECC")])
+    (tmp_path / "p.txt").write_text(labels, encoding="utf-8")
+    (tmp_path / "t.txt").write_text(labels, encoding="utf-8")
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "dirlink").symlink_to(tmp_path / "adir")
+    for name in ("same", "adir/same"):
+        (tmp_path / name).write_bytes(b"OLD\n")
+    monkeypatch.chdir(tmp_path)
+    before = tree(tmp_path)
+    assert main(["eval", "--pred", "p.txt", "--truth", "t.txt",
+                 "--out", out, "--csv", csv]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: two outputs land on one file: {out} and {csv}\n")
+    assert tree(tmp_path) == before
+
+
 def test_eval_outputs_land_as_before(tmp_path, capsys):
-    # --out and --csv naming one path leave the CSV there, and an --out
-    # that is a symlink to a directory is replaced by the report.
+    # An --out that is a symlink to the --csv is replaced by the report,
+    # not written through, so the two do not collide; and an --out that
+    # is a symlink to a directory is replaced by the report.
     labels = format_label_records([("a", "HHEECC")])
     (tmp_path / "p.txt").write_text(labels, encoding="utf-8")
     (tmp_path / "t.txt").write_text(labels, encoding="utf-8")
     argv = ["eval", "--pred", str(tmp_path / "p.txt"),
             "--truth", str(tmp_path / "t.txt")]
-    same = tmp_path / "same"
-    assert main(argv + ["--out", str(same), "--csv", str(same)]) == 0
+    target, link = tmp_path / "target", tmp_path / "out-link"
+    target.write_bytes(b"OLD\n")
+    link.symlink_to(target)
+    assert main(argv + ["--out", str(link), "--csv", str(target)]) == 0
     assert capsys.readouterr() == ("", "")
-    assert same.read_text(encoding="utf-8").startswith("true\\pred,H,E,C")
+    assert not link.is_symlink()
+    assert "Q3: 1.0000" in link.read_text(encoding="utf-8")
+    assert target.read_text(encoding="utf-8").startswith("true\\pred,H,E,C")
     (tmp_path / "adir").mkdir()
     link = tmp_path / "link"
     link.symlink_to(tmp_path / "adir")

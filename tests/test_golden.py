@@ -8,13 +8,13 @@ the draws of ``planted_dataset`` and ``new_random_hmm``."""
 import json
 
 from golden_grid import DIGESTS, GOLDEN, digests, near_ties, write_inputs
-from helpers import kernel_in_use, window_kernels
+from helpers import kernel_in_use, kernels
 
 
 def test_golden_outputs_are_byte_identical(tmp_path):
-    # Once per window kernel: each must give every byte.
+    # Once per kernel: each must give every byte.
     expected = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    for name, kernel in window_kernels():
+    for name, kernel in kernels():
         with kernel_in_use(kernel):
             actual = digests(tmp_path)
         assert sorted(actual) == sorted(expected)

@@ -18,8 +18,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 import oracle
 import reference_estep
 import ssph
-from helpers import (UNREACHABLE_TRANSITIONS, e_step_kernels, faulty_rows,
-                     kernel_in_use, model_and_run, random_model,
+from helpers import (UNREACHABLE_TRANSITIONS, faulty_rows, kernel_in_use,
+                     kernels, model_and_run, random_model,
                      random_model_with_zeros, sample, sample_batch,
                      small_cases,
                      underflowing_hmm, unreachable_state_hmm)
@@ -28,8 +28,8 @@ from ssph import (Hmm, backward_log_likelihood, baum_welch,
                   sequence_score, viterbi)
 from ssph.errors import EmptyObservation, NoTrainingData, SymbolOutOfRange
 from ssph.hmm import (ROW_SUM_TOL, _check_stochastic, _EStep,
-                      _length_batches, _log_params, _reestimate)
-from ssph.predictor import _window_scores
+                      _length_batches, _log_params, _reestimate,
+                      _window_scores)
 
 
 def run_e_step(e_step, model):
@@ -672,8 +672,8 @@ def test_a_reused_e_step_allocates_no_lattice():
     # batch) lattice. Under either E-step kernel.
     model = new_random_hmm(3, 21, seed=6)
     windows = np.random.default_rng(6).integers(0, 21, size=(3000, 11))
-    for kernel in e_step_kernels():
-        with kernel_in_use(kernel, hmm):
+    for _, kernel in kernels():
+        with kernel_in_use(kernel):
             e_step = _EStep(model, windows)
         first = run_e_step(e_step, model)
         tracemalloc.start()
@@ -695,8 +695,8 @@ def test_a_likelihood_allocates_no_backward_lattice():
     # kernel.
     model = new_random_hmm(3, 21, seed=7)
     windows = np.random.default_rng(7).integers(0, 21, size=(3000, 11))
-    for kernel in e_step_kernels():
-        with kernel_in_use(kernel, hmm):
+    for _, kernel in kernels():
+        with kernel_in_use(kernel):
             tracemalloc.start()
             try:
                 e_step = _EStep(model, windows)
@@ -716,8 +716,8 @@ def test_a_model_of_fortran_ordered_arrays_gives_the_c_ordered_bytes():
     seqs = [sample(rng, model, k) for k in (1, 6, 6, 13)]
     fortran = Hmm(model.initial, np.asfortranarray(model.transition),
                   np.ascontiguousarray(model.emission.T).T)
-    for kernel in e_step_kernels():
-        with kernel_in_use(kernel, hmm):
+    for _, kernel in kernels():
+        with kernel_in_use(kernel):
             runs = [(forward_log_likelihood(m, seqs[-1]),
                      backward_log_likelihood(m, seqs[-1]),
                      baum_welch(m, seqs, max_iters=3, tol=1e-12))

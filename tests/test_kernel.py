@@ -3,7 +3,8 @@ are the numpy kernel's float64 bytes, and the E-step's likelihoods and
 counts are its numpy form's bytes, with the library built for each SIMD
 target this CPU has; the build falls back to the numpy kernels, tries a
 failed build once per source and command, and lands one whole library when
-processes race."""
+processes race; and the command line writes the same bytes under the numpy
+kernels as under the compiled ones."""
 
 import hashlib
 import math
@@ -21,23 +22,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (UNREACHABLE_TRANSITIONS, kernel_in_use, model_and_run,
-                     near_tied_params, random_model, random_model_with_zeros,
-                     sample_batch, underflowing_hmm, unreachable_state_hmm)
-from ssph import (Hmm, _ckernel, hmm, planted_dataset, planted_models,
-                  predict_structures, predictor)
-from ssph.hmm import E_STEP_BLOCK, _EStep, _log_params
-from ssph.predictor import _window_scores
+from helpers import (UNREACHABLE_TRANSITIONS, kernel_in_use, kernels,
+                     model_and_run, near_tied_params, random_model,
+                     random_model_with_zeros, sample_batch, underflowing_hmm,
+                     unreachable_state_hmm)
+from ssph import (FastaRecord, Hmm, _ckernel, format_fasta,
+                  format_label_records, format_labeled_dataset, hmm,
+                  planted_dataset, planted_models, predict_structures)
+from ssph.cli import main
+from ssph.hmm import E_STEP_BLOCK, _EStep, _log_params, _window_scores
 
-SRC = Path(predictor.__file__).resolve().parents[1]
+SRC = Path(hmm.__file__).resolve().parents[1]
 
 
 def compiled_kernel():
-    """The kernel :func:`_load_kernel` gives; skips the test on a host
+    """The kernel ``hmm._load_kernel`` gives; skips the test on a host
     where the compiled one cannot be built."""
-    kernel = predictor._load_kernel()
-    if kernel is _window_scores:
-        pytest.skip("the compiled window kernel cannot be built here")
+    kernel = hmm._load_kernel()
+    if kernel is hmm._NUMPY_KERNEL:
+        pytest.skip("the compiled kernels cannot be built here")
     return kernel
 
 
@@ -166,9 +169,9 @@ def test_a_failed_build_falls_back_to_the_numpy_kernel(tmp_path, cc):
     # its failure marker beside the source and no temp file.
     source = tmp_path / "_kernel.c"
     shutil.copy(_ckernel.SOURCE, source)
-    kernel = predictor._load_kernel(source, str(tmp_path / cc)
-                                    if cc.startswith("no-") else cc)
-    assert kernel is _window_scores
+    kernel = hmm._load_kernel(source, str(tmp_path / cc)
+                              if cc.startswith("no-") else cc)
+    assert kernel is hmm._NUMPY_KERNEL
     marker, rest = sorted(os.listdir(tmp_path))
     assert re.fullmatch(r"_kernel-[0-9a-f]{8}\.failed", marker)
     assert rest == "_kernel.c"
@@ -203,7 +206,6 @@ def test_a_failed_build_runs_the_compiler_once_per_command(tmp_path):
     source, cc, runs = logging_compiler(tmp_path, "exit 1")
     for _ in range(2):
         assert load_in_a_new_process(source, cc) is None
-        assert predictor._load_kernel(source, cc) is _window_scores
         assert hmm._load_kernel(source, cc) is hmm._NUMPY_KERNEL
     assert runs.read_text() == "run\n"
     [marker] = source.parent.glob("_kernel-*.failed")
@@ -228,8 +230,8 @@ def test_a_compiler_killed_by_a_signal_leaves_no_failure_marker(tmp_path):
 BUILD = """
 import hashlib, sys
 from pathlib import Path
-from ssph import predictor
-kernel = predictor._load_kernel(Path(sys.argv[1]))
+from ssph import hmm
+kernel = hmm._load_kernel(Path(sys.argv[1]))
 print(kernel.library, hashlib.sha256(kernel.library.read_bytes()).hexdigest())
 """
 
@@ -256,15 +258,6 @@ def test_concurrent_builds_load_the_same_library(tmp_path):
 
 
 # ----------------------------------------------------------------- E-step
-
-def compiled_e_step():
-    """The E-step kernel ``hmm._load_kernel`` gives; skips the test on a
-    host where the compiled one cannot be built."""
-    kernel = hmm._load_kernel()
-    if kernel is hmm._NUMPY_KERNEL:
-        pytest.skip("the compiled E-step cannot be built here")
-    return kernel
-
 
 def tiny_model(rng, num_states, alphabet_size):
     """A random model with about a third of its entries near 1e-300, so
@@ -312,7 +305,7 @@ def e_step_bytes(kernel, model, symbols):
     """The bytes of forward's log-likelihood, alphas and scale factors
     under ``kernel``, and of the three counts where the likelihood is
     finite."""
-    with kernel_in_use(kernel, hmm):
+    with kernel_in_use(kernel):
         e_step = _EStep(model, symbols)
     ll = e_step.forward(model)
     arrays = [batch.alpha for batch in e_step._work]
@@ -330,7 +323,7 @@ def assert_same_e_step(kernel, model, symbols):
 @given(e_step_inputs())
 @settings(max_examples=200, deadline=None)
 def test_property_compiled_e_step_gives_the_numpy_e_step_bytes(case):
-    assert_same_e_step(compiled_e_step(), *case)
+    assert_same_e_step(compiled_kernel(), *case)
 
 
 def test_compiled_e_step_gives_the_numpy_e_step_bytes_over_mixed_lengths():
@@ -339,7 +332,7 @@ def test_compiled_e_step_gives_the_numpy_e_step_bytes_over_mixed_lengths():
     model = random_model_with_zeros(rng, 3, 21)
     symbols = [row for length in (1, 11, 4, 11, 30)
                for row in sample_batch(rng, model, 300, length)]
-    assert_same_e_step(compiled_e_step(), model, symbols)
+    assert_same_e_step(compiled_kernel(), model, symbols)
 
 
 @pytest.mark.parametrize("transition", UNREACHABLE_TRANSITIONS)
@@ -351,11 +344,11 @@ def test_compiled_e_step_gives_the_numpy_e_step_bytes_where_beta_overflows(
     model = unreachable_state_hmm(transition)
     symbols = np.zeros((E_STEP_BLOCK + 3, 400), dtype=np.intp)
     symbols[::2, 1::3] = 1
-    assert_same_e_step(compiled_e_step(), model, symbols)
+    assert_same_e_step(compiled_kernel(), model, symbols)
 
 
 def test_compiled_e_step_rejects_arguments_that_do_not_fit():
-    kernel = compiled_e_step()
+    kernel = compiled_kernel()
     rng = np.random.default_rng(8)
     model = random_model(rng, 2, 4)
     e_step = _EStep(model, rng.integers(0, 4, size=(5, 3)))
@@ -380,3 +373,44 @@ def test_compiled_e_step_rejects_arguments_that_do_not_fit():
 def test_property_each_target_build_gives_the_numpy_e_step_bytes(
         target_kernel, flag, case):
     assert_same_e_step(target_kernel(flag), *case)
+
+
+# ----------------------------------------------------------- command line
+
+def test_the_cli_writes_the_same_bytes_under_the_numpy_kernels(tmp_path,
+                                                               capsys):
+    # `ssph train`, `predict` and `eval --csv` run once as a host without a
+    # compiler runs them, on the numpy window kernel and E-step, and once
+    # on the compiled kernels: the model file, the predictions, both
+    # reports and stdout have the same bytes.
+    chains = planted_dataset(12, 60, seed=21, stay=0.9)
+    data, fasta, truth = (tmp_path / name for name in
+                          ("train.txt", "test.fa", "truth.txt"))
+    data.write_text(format_labeled_dataset(chains[:9]), encoding="utf-8")
+    fasta.write_text(format_fasta([FastaRecord(c.id, c.sequence)
+                                   for c in chains[9:]]), encoding="utf-8")
+    truth.write_text(format_label_records([(c.id, c.labels)
+                                           for c in chains[9:]]),
+                     encoding="utf-8")
+    runs = {}
+    for name, kernel in kernels():
+        run = tmp_path / name
+        run.mkdir()
+        with kernel_in_use(kernel):
+            assert main(["train", "--data", str(data), "--out",
+                         str(run / "models.txt"), "--states", "3",
+                         "--window", "3", "--iters", "5"]) == 0
+            assert main(["predict", "--models", str(run / "models.txt"),
+                         "--fasta", str(fasta), "--out",
+                         str(run / "pred.txt"), "--window", "3"]) == 0
+            assert main(["eval", "--pred", str(run / "pred.txt"),
+                         "--truth", str(truth), "--window", "3", "--out",
+                         str(run / "report.txt"), "--csv",
+                         str(run / "report.csv")]) == 0
+        runs[name] = ({path.name: path.read_bytes()
+                       for path in sorted(run.iterdir())},
+                      capsys.readouterr())
+    files, _ = runs["numpy"]
+    assert sorted(files) == ["models.txt", "pred.txt", "report.csv",
+                             "report.txt"]
+    assert runs["numpy"] == runs["compiled"]

@@ -10,14 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from helpers import (kernel_in_use, random_model, single_symbol_stub,
-                     stub_model_set, window_kernels)
+from helpers import (kernel_in_use, kernels, random_model,
+                     single_symbol_stub, stub_model_set)
 from ssph import (ALPHABET, ClassModelSet, encode_residues, fold_residues,
-                  new_random_hmm, planted_dataset, planted_models,
+                  hmm, new_random_hmm, planted_dataset, planted_models,
                   predict_structure, predict_structures, predictor, viterbi)
 from ssph.errors import EmptySequence
-from ssph.hmm import _log_params
-from ssph.predictor import _window_scores
+from ssph.hmm import _log_params, _window_scores
 
 FIXTURE_SEQUENCE = "ACDEIKLMRSTV"
 # Expected labels for the stub models with half_width 2, frozen from the
@@ -101,7 +100,7 @@ _grid = st.integers(min_value=1, max_value=20)
 @given(_grid, _grid, _grid)
 def test_property_centre_label_is_the_first_maximum(k_h, k_e, k_c):
     expected = max("HCE", key={"H": k_h, "E": k_e, "C": k_c}.get)
-    for name, kernel in window_kernels():
+    for name, kernel in kernels():
         with kernel_in_use(kernel):
             assert centre_label(k_h / 20, k_e / 20, k_c / 20) == expected, name
 
@@ -234,7 +233,7 @@ def test_predict_structure_locality():
 def test_property_output_length_and_alphabet(half_width, symbols):
     models = planted_models(leak=0.2)
     seq = "".join(ALPHABET[i] for i in symbols)
-    for name, kernel in window_kernels():
+    for name, kernel in kernels():
         with kernel_in_use(kernel):
             pred = predict_structure(models, seq, half_width=half_width)
         assert len(pred) == len(seq), name
@@ -252,7 +251,7 @@ def test_property_interior_labels_follow_the_tie_break_chain(symbols):
     window = "".join(ALPHABET[i] for i in symbols)
     expected = max("HCE", key=lambda label: viterbi(
         models[label], encode_residues(window)).log_prob)
-    for name, kernel in window_kernels():
+    for name, kernel in kernels():
         with kernel_in_use(kernel):
             pred = predict_structure(models, window, half_width=2)
         assert pred[2] == expected, name
@@ -325,8 +324,8 @@ def test_predict_structures_matches_the_per_window_loop_across_records(
         expected = [reference_predict(models, fold_residues(seq), half_width,
                                       boundary_label)
                     for seq in seqs]
-        for name, kernel in window_kernels():
-            monkeypatch.setattr(predictor, "_kernel", kernel)
+        for name, kernel in kernels():
+            monkeypatch.setattr(hmm, "_kernel", kernel)
             assert predict_structures(models, (seq for seq in seqs),
                                       half_width, boundary_label) \
                 == expected, name
@@ -336,17 +335,22 @@ KernelCall = namedtuple("KernelCall", "windows symbols")
 
 
 def counting_kernel(monkeypatch):
-    """Make the predictor's window kernel the one :func:`_load_kernel`
-    gives (the compiled one, where it can be built), wrapped to record each
-    call as a :class:`KernelCall`: its number of windows and its symbols."""
-    kernel = predictor._load_kernel()
+    """Make the kernel the one ``hmm._load_kernel`` gives (the compiled
+    one, where it can be built), wrapped to record each window kernel call
+    as a :class:`KernelCall`: its number of windows and its symbols. The
+    E-step entries pass through unrecorded."""
+    kernel = hmm._load_kernel()
     calls = []
 
-    def counted(log_init, log_trans, log_emit, symbols, width):
-        calls.append(KernelCall(len(symbols) - width + 1, symbols))
-        return kernel(log_init, log_trans, log_emit, symbols, width)
+    class Counted:
+        def __getattr__(self, name):  # forward and counts
+            return getattr(kernel, name)
 
-    monkeypatch.setattr(predictor, "_kernel", counted)
+        def __call__(self, log_init, log_trans, log_emit, symbols, width):
+            calls.append(KernelCall(len(symbols) - width + 1, symbols))
+            return kernel(log_init, log_trans, log_emit, symbols, width)
+
+    monkeypatch.setattr(hmm, "_kernel", Counted())
     return calls
 
 
