@@ -1,6 +1,6 @@
 /* The compiled kernels of ssph, each giving the bytes of its numpy form:
    window_scores, the best-path log score of every width-symbol window of
-   a symbol run under one HMM (ssph.predictor._window_scores), and
+   a symbol run under one HMM (ssph.hmm._window_scores), and
    estep_forward and estep_counts, the E-step of ssph.hmm._EStep.
 
    window_scores makes the same IEEE additions in the same order as the

@@ -9,15 +9,17 @@ the same recursion, without the backtrace, over every fixed-width window
 of a symbol run at once, with the bits of :func:`viterbi` on each window;
 the predictor labels its windows with it.
 
-The scaled recursions are the ``forward`` and ``backward`` methods of
-``_EStep``, the one owner of their arrays: one set per equal-length batch of
-sequences, built once per likelihood or Baum-Welch call and refilled in
-place by every EM iteration. ``_EStep`` takes a model and the raw sequences,
-and checks and groups them itself; ``forward`` refuses a model whose state
+The scaled recursions are the ``forward`` and ``counts`` methods of
+``_EStep``, the one owner of their arrays: ``counts`` runs the backward
+pass. There is one set of arrays per equal-length batch of sequences,
+built once per likelihood or Baum-Welch call and refilled in place by
+every EM iteration. ``_EStep`` takes a model and the raw sequences, and
+checks and groups them itself; ``forward`` refuses a model whose state
 count or alphabet differs from the one they were checked against, since
 the compiled kernel reads emissions by symbol without a further check.
-``forward`` records its model, which ``backward`` and ``counts`` then use.
-The E-step after the last re-estimation runs the forward pass only.
+``forward`` records its model, which ``counts`` then uses. The E-step
+after the last re-estimation runs the forward pass only, and so does
+:func:`forward_log_likelihood`; :func:`backward_log_likelihood` runs both.
 
 The window scores and the E-step run on one kernel, chosen once per
 process by :func:`_chosen_kernel`: the compiled ``window_scores``,
@@ -61,7 +63,7 @@ def _check_stochastic(rows: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} rows must sum to 1 within {ROW_SUM_TOL}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hmm:
     """A discrete-emission hidden Markov model.
 
@@ -75,7 +77,9 @@ class Hmm:
     only way a model is built: it copies the arrays in C order (the compiled
     E-step reads them row by row, whatever the caller's layout), checks
     their shapes and rows, and marks the copies read-only, so instances are
-    immutable and safe to share between threads.
+    immutable and safe to share between threads. Models compare and hash
+    by identity; compare two by value with ``np.array_equal`` on their
+    arrays.
     """
 
     initial: np.ndarray
@@ -262,14 +266,18 @@ def forward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
 def backward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
     """ln P(obs | model) via the backward recursion, scaled by the forward
     pass's factors; agrees with the forward value up to roundoff, and is -inf
-    where that is."""
+    where that is.
+
+    It is the forward value plus ln of the sum of the first step's
+    posteriors alpha * beta, the E-step's start counts, added in state
+    order. Since
+    c(0) alpha(0, j) = pi_j e_j(o_0), that is the sum of ln c(t) over
+    t >= 1 plus ln sum_j pi_j e_j(o_0) beta(0, j)."""
     e_step = _EStep(model, [obs])
-    if e_step.forward(model) == -math.inf:
-        return -math.inf
-    [(steps, beta, scale)] = e_step.backward()
-    first = model.initial @ (model.emission[:, steps[0, 0]] * beta[:, 0, 0])
-    with np.errstate(divide="ignore"):  # ln 0 = -inf: probability 0
-        return float(np.log(np.append(scale[1:], first)).sum())
+    ll = e_step.forward(model)
+    if ll == -math.inf:
+        return ll
+    return ll + math.log(sum(e_step.counts()[0].tolist()))
 
 
 # Windows per block of the E-step, and the lanes of its sums across
@@ -346,45 +354,38 @@ class _NumpyKernel:
             a /= np.where(c > 0.0, c, 1.0)
 
     @staticmethod
-    def backward(model: Hmm, batch: _Batch
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """The batch's betas, time reversed (step t at ``length - 1 - t``),
-        and each window's transition sums, steps added from the last, in
-        buffers of the batch."""
+    def counts(model: Hmm, batch: _Batch
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         transition, alpha, scale = model.transition, batch.alpha, batch.scale
         n, length, width = alpha.shape
-        beta = batch.buffer("beta", alpha.shape)
+        m = model.emission.shape[1]
+        # gamma holds the betas, time reversed (step t at length - 1 - t),
+        # and then the posteriors; moves holds each window's transition
+        # sums, steps added from the last.
+        gamma = batch.buffer("gamma", alpha.shape)
         moves = batch.buffer("moves", (n, n, width))
         term = batch.buffer("term", (n, width))
         product = batch.buffer("product", (n, width))
         pairs = batch.buffer("pairs", (n, n, width))
         moves.fill(0.0)
-        np.greater(alpha[:, -1], 0.0, out=beta[:, 0])
+        np.greater(alpha[:, -1], 0.0, out=gamma[:, 0])
         for t in range(length - 2, -1, -1):
             model.emission.take(batch.steps[t + 1], axis=1, out=term,
                                 mode="clip")
-            term *= beta[:, length - 2 - t]
+            term *= gamma[:, length - 2 - t]
             term /= scale[t + 1]
             moves += np.multiply(alpha[:, t, None], term, out=pairs)
-            b = beta[:, length - 1 - t]
+            b = gamma[:, length - 1 - t]
             np.multiply(transition[:, 0, None], term[0], out=b)
             for j in range(1, n):
                 b += np.multiply(transition[:, j, None], term[j], out=product)
             b *= alpha[:, t] > 0.0
-        return beta, moves
-
-    @classmethod
-    def counts(cls, model: Hmm, batch: _Batch
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        gamma, moves = cls.backward(model, batch)
-        n, m = model.emission.shape
-        length, width = batch.steps.shape
         blocks = -(-width // E_STEP_BLOCK)
         # Each symbol's bin in its block's counts, steps from the last.
         keys = batch.buffer("keys", (length, width), np.intp)
         np.add(batch.steps[::-1], m * (np.arange(width) // E_STEP_BLOCK),
                out=keys)
-        np.multiply(batch.alpha[:, ::-1], gamma, out=gamma)  # posteriors
+        np.multiply(alpha[:, ::-1], gamma, out=gamma)  # posteriors
         emitted = np.empty((n, m))
         for j in range(n):
             by_block = np.bincount(keys.reshape(-1),
@@ -437,7 +438,11 @@ class _EStep:
       adds the alphas in state order, and divides them where it is > 0;
     - a step's beta of state i adds ``T[i][j] * term_j`` over j in index
       order, ``term_j = e_j(o_t+1) * beta(t+1, j) / c(t+1)``, and is 0
-      where alpha is;
+      where alpha is. The scaling bounds beta only for states the forward
+      pass reaches; an unreachable state's beta could grow without limit
+      and turn ``0 * inf`` into NaN. Zeroing it is exact: if
+      alpha(t+1, j) = 0 then ``T[i][j] * e_j(o_t+1) = 0`` for every i with
+      alpha(t, i) > 0, so no reachable beta and no posterior changes;
     - a window's transition sum ``alpha(t, i) * term_j`` adds its steps
       from the last to the first; the transition count is ``T[i][j]``
       times the sum of those over windows;
@@ -467,11 +472,11 @@ class _EStep:
 
     def forward(self, model: Hmm) -> float:
         """Total log-likelihood of the data under ``model``, which
-        :meth:`backward` and :meth:`counts` then use. Each step's alphas are
-        normalized to sum to 1 by its scale factor ``c``, and the
-        log-likelihood is the sum of ln c. A step whose total mass is 0, or
-        underflows double precision, gets ``c = 0`` and all-zero alphas from
-        then on, so the total is -inf: probability 0."""
+        :meth:`counts` then uses. Each step's alphas are normalized to sum
+        to 1 by its scale factor ``c``, and the log-likelihood is the sum
+        of ln c. A step whose total mass is 0, or underflows double
+        precision, gets ``c = 0`` and all-zero alphas from then on, so the
+        total is -inf: probability 0."""
         if model.emission.shape != self._shape:
             raise ValueError(f"the E-step's data was checked against "
                              f"{self._shape} emissions, not "
@@ -484,23 +489,6 @@ class _EStep:
                 total_ll += float(np.log(batch.scale, out=batch.log_scale)
                                   .sum())
         return total_ll
-
-    def backward(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Backward pass of the last :meth:`forward`, in numpy whatever the
-        kernel, divided by the same scale factors, so that alpha * beta is
-        the state posterior. The scale factors must be positive, as they
-        are when every sequence is possible. Returns the symbols, betas and
-        scale factors of each batch.
-
-        Beta is set to 0 wherever alpha is 0. The scaling bounds beta only
-        for states the forward pass reaches; an unreachable state's beta
-        could grow without limit and turn ``0 * inf`` into NaN. Zeroing it
-        is exact: if alpha(t+1, j) = 0 then a(i, j) e_j(o_t+1) = 0 for every
-        i with alpha(t, i) > 0, so no reachable beta and no posterior
-        changes."""
-        return [(batch.steps,
-                 _NumpyKernel.backward(self._model, batch)[0][:, ::-1],
-                 batch.scale) for batch in self._work]
 
     def counts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Expected start/transition/emission counts of the training data

@@ -269,21 +269,34 @@ def test_trained_models_recover_planted_structure():
 
 TRAIN = """
 import sys
+import numpy as np
+from ssph import backward_log_likelihood, new_random_hmm
 from ssph.cli import main
 data, out = sys.argv[1:]
 for states in ("2", "3"):
     main(["train", "--data", data, "--out", f"{out}-{states}", "--states",
           states, "--window", "5", "--iters", "5", "--seed", "0"])
+rng = np.random.default_rng(5)
+values = []
+for n in (3, 4):
+    model = new_random_hmm(n, 21, seed=n)
+    for _ in range(300):
+        obs = rng.integers(0, 21, size=int(rng.integers(1, 60)))
+        values.append(backward_log_likelihood(model, obs))
+with open(f"{out}-likelihoods", "wb") as f:
+    f.write(np.array(values).tobytes())
 """
 
 
 def test_model_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
-    # `ssph train` at 2 and 3 states in a child process per OpenBLAS kernel
-    # (where numpy's BLAS is not OpenBLAS, or the CPU lacks a kernel's
+    # `ssph train` at 2 and 3 states, and backward_log_likelihood on 600
+    # seeded sequences, in a child process per OpenBLAS kernel (where
+    # numpy's BLAS is not OpenBLAS, or the CPU lacks a kernel's
     # instructions, the setting changes nothing and the files agree
-    # trivially). The E-step makes no BLAS call, so the model files are
-    # byte-identical; when it made its products through BLAS, each kernel
-    # wrote a different file.
+    # trivially). The E-step makes no BLAS call, so the model files and the
+    # likelihoods are byte-identical; when the E-step made its products
+    # through BLAS, each kernel wrote a different model file, and when the
+    # backward likelihood ended in a BLAS dot, a few of its values moved.
     data = tmp_path / "train.txt"
     data.write_text(format_labeled_dataset(planted_dataset(20, 60, seed=3)),
                     encoding="utf-8")
@@ -298,10 +311,11 @@ def test_model_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
         out = tmp_path / f"models-{coretype}"
         subprocess.run([sys.executable, "-c", TRAIN, str(data), str(out)],
                        env=env, check=True, capture_output=True, timeout=120)
-        for states in (2, 3):
-            files.setdefault(states, set()).add(
-                Path(f"{out}-{states}").read_bytes())
-    assert [len(files[states]) for states in (2, 3)] == [1, 1]
+        for name in ("2", "3", "likelihoods"):
+            files.setdefault(name, set()).add(
+                Path(f"{out}-{name}").read_bytes())
+    assert {name: len(found) for name, found in files.items()} == \
+        {"2": 1, "3": 1, "likelihoods": 1}
 
 
 def test_planted_models_have_disjoint_groups():
