@@ -15,7 +15,6 @@ Where the library cannot be built or loaded, :func:`load` returns None."""
 from __future__ import annotations
 
 import ctypes
-import functools
 import os
 import sysconfig
 import tempfile
@@ -25,9 +24,15 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_kernel.c")
+# Windows per block of the E-step, and the lanes of its sums across
+# windows; both are part of its summation order, which the numpy E-step of
+# ssph.hmm follows and every build passes to the C.
+E_STEP_BLOCK = 256
+E_STEP_LANES = 8
 # The flags of every build: never -ffast-math or -Ofast, which would let the
 # compiler reorder the kernel's adds.
-CFLAGS = ["-O3", "-ffp-contract=off", "-shared", "-fPIC"]
+CFLAGS = ["-O3", "-ffp-contract=off", "-shared", "-fPIC",
+          f"-DESTEP_BLOCK={E_STEP_BLOCK}", f"-DLANES={E_STEP_LANES}"]
 
 
 class Kernel:
@@ -49,7 +54,7 @@ class Kernel:
         self._forward.argtypes = [size] * 4 + [pointer] * 6
         self._forward.restype = None
         self._counts = lib.estep_counts
-        self._counts.argtypes = [size] * 4 + [pointer] * 8
+        self._counts.argtypes = [size] * 4 + [pointer] * 7
         self._counts.restype = ctypes.c_int
 
     def __call__(self, log_init: np.ndarray, log_trans: np.ndarray,
@@ -102,15 +107,14 @@ class Kernel:
         emission counts."""
         sizes = self._sizes(model, batch)
         n, m = sizes[:2]
-        start, moves, emitted = np.empty(n), np.empty((n, n)), np.zeros((n, m))
+        sums, emitted = np.empty(n + n * n), np.zeros((n, m))
         if self._counts(*sizes, model.transition.ctypes.data,
                         model.emission.ctypes.data, batch.steps.ctypes.data,
                         batch.alpha.ctypes.data, batch.scale.ctypes.data,
-                        start.ctypes.data, moves.ctypes.data,
-                        emitted.ctypes.data):
+                        sums.ctypes.data, emitted.ctypes.data):
             raise MemoryError("the E-step kernel found no memory for its "
                               "buffers")
-        return start, moves, emitted
+        return sums[:n], sums[n:].reshape(n, n), emitted
 
 
 def library(source: Path, cc: str) -> Path:
@@ -152,12 +156,10 @@ def library(source: Path, cc: str) -> Path:
     return target
 
 
-@functools.lru_cache(maxsize=None)
 def load(source: Path = SOURCE, cc: str | None = None) -> Kernel | None:
     """The kernel built from ``source`` with the compiler command ``cc``
     (by default the one Python was built with), or None where it cannot be
-    built or loaded. The result is kept for the process, so a build that
-    fails without a marker runs its compiler once per process."""
+    built or loaded."""
     cc = cc or sysconfig.get_config_var("CC")
     if not cc:
         return None

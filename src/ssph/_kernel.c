@@ -89,12 +89,10 @@ int window_scores(ptrdiff_t n, ptrdiff_t width, ptrdiff_t m,
     return 0;
 }
 
-/* Windows per block of the E-step, and the lanes its sums across windows
-   run in: window b adds into lane b % LANES, in window order, and the lanes
-   are added in lane order at the end. Both are part of the summation order
-   that hmm.E_STEP_BLOCK and hmm.E_STEP_LANES repeat. */
-#define ESTEP_BLOCK 256
-#define LANES 8
+/* ESTEP_BLOCK, the windows per block of the E-step, and LANES, the lanes of
+   its sums across windows (window b adds into lane b % LANES in window
+   order, then the lanes add in lane order), come from the build command:
+   ssph._ckernel.CFLAGS passes its E_STEP_BLOCK and E_STEP_LANES. */
 
 /* out[b] = e[sym[b]] for b < k: a loop of its own, since no SIMD level
    here vectorizes a gather, and the arithmetic on what it gathers then
@@ -202,8 +200,8 @@ static inline void posteriors(ptrdiff_t n, ptrdiff_t m, ptrdiff_t k,
 }
 
 /* The backward pass of the batch that estep_forward left in alpha and
-   scale, and its expected counts: start[j], the posteriors of step 0;
-   moves[i * n + j], the sum of alpha(t, i) * e_j(o_t+1) * beta(t+1, j) /
+   scale, and its expected counts: sums[j], the posteriors of step 0, and
+   sums[n + i * n + j], the sum of alpha(t, i) * e_j(o_t+1) * beta(t+1, j) /
    c(t+1) over steps and windows, which the transition probability
    multiplies into the transition count; emitted[j * m + s], the
    posteriors of state j at the steps that show symbol s. Beta is 0 where
@@ -211,8 +209,8 @@ static inline void posteriors(ptrdiff_t n, ptrdiff_t m, ptrdiff_t k,
    terms added in state order.
 
    Each block runs its steps from the last to the first. A window's
-   transition sum adds its steps in that order, and the window sums and
-   the start posteriors then add into LANES lanes, as fold does. Each block
+   transition sum adds its steps in that order, and the start posteriors
+   and the window sums then add into LANES lanes, as fold does. Each block
    adds its emission posteriors into a count of its own, step by step from
    the last and window by window, and the blocks' counts are added to
    emitted in block order. Returns 0, or -1 when its buffers cannot be
@@ -221,19 +219,18 @@ TARGETS
 int estep_counts(ptrdiff_t n, ptrdiff_t m, ptrdiff_t length, ptrdiff_t batch,
                  const double *trans, const double *emis,
                  const ptrdiff_t *steps, const double *alpha,
-                 const double *scale, double *start, double *moves,
-                 double *emitted)
+                 const double *scale, double *sums, double *emitted)
 {
-    ptrdiff_t lattice = length * batch;
-    size_t size = (size_t)(3 + n) * n * ESTEP_BLOCK + (size_t)n * m
-                  + (size_t)(1 + n) * n * LANES;
+    ptrdiff_t lattice = length * batch, count = n + n * n;
+    size_t size = (size_t)(2 * n + count) * ESTEP_BLOCK + (size_t)n * m
+                  + (size_t)count * LANES;
     double *buffer = calloc(size, sizeof *buffer);
     if (buffer == NULL)
         return -1;
     double *next = buffer, *beta = next + n * ESTEP_BLOCK;
-    double *term = beta + n * ESTEP_BLOCK; /* then the posteriors */
-    double *part = term + n * ESTEP_BLOCK, *hist = part + n * n * ESTEP_BLOCK;
-    double *start_lanes = hist + n * m, *move_lanes = start_lanes + n * LANES;
+    /* term (then the posteriors) and part: the block's count sums, in a row */
+    double *term = beta + n * ESTEP_BLOCK, *part = term + n * ESTEP_BLOCK;
+    double *hist = term + count * ESTEP_BLOCK, *lanes = hist + n * m;
     for (ptrdiff_t b0 = 0; b0 < batch; b0 += ESTEP_BLOCK) {
         ptrdiff_t k = batch - b0 < ESTEP_BLOCK ? batch - b0 : ESTEP_BLOCK;
         memset(part, 0, n * n * ESTEP_BLOCK * sizeof *part);
@@ -286,22 +283,15 @@ int estep_counts(ptrdiff_t n, ptrdiff_t m, ptrdiff_t length, ptrdiff_t batch,
             next = beta;
             beta = swap;
         }
-        for (ptrdiff_t j = 0; j < n; j++)
-            fold(start_lanes + j * LANES, term + j * ESTEP_BLOCK, k);
-        for (ptrdiff_t ij = 0; ij < n * n; ij++)
-            fold(move_lanes + ij * LANES, part + ij * ESTEP_BLOCK, k);
+        for (ptrdiff_t r = 0; r < count; r++)
+            fold(lanes + r * LANES, term + r * ESTEP_BLOCK, k);
         for (ptrdiff_t js = 0; js < n * m; js++)
             emitted[js] += hist[js];
     }
-    for (ptrdiff_t j = 0; j < n; j++) {
-        start[j] = start_lanes[j * LANES];
+    for (ptrdiff_t r = 0; r < count; r++) {
+        sums[r] = lanes[r * LANES];
         for (ptrdiff_t l = 1; l < LANES; l++)
-            start[j] += start_lanes[j * LANES + l];
-    }
-    for (ptrdiff_t ij = 0; ij < n * n; ij++) {
-        moves[ij] = move_lanes[ij * LANES];
-        for (ptrdiff_t l = 1; l < LANES; l++)
-            moves[ij] += move_lanes[ij * LANES + l];
+            sums[r] += lanes[r * LANES + l];
     }
     free(buffer);
     return 0;

@@ -6,8 +6,10 @@ space.
 :func:`viterbi` is the one max-product recursion here, and
 :func:`sequence_score` is its log-probability. :func:`_window_scores` runs
 the same recursion, without the backtrace, over every fixed-width window
-of a symbol run at once, with the bits of :func:`viterbi` on each window;
-the predictor labels its windows with it.
+of a symbol run at once, with the bits of :func:`viterbi` on each window:
+it is the numpy kernel's window entry. The predictor labels its windows
+with the kernel of :func:`_chosen_kernel`, the compiled one unless its
+build fails.
 
 The scaled recursions are the ``forward`` and ``counts`` methods of
 ``_EStep``, the one owner of their arrays: ``counts`` runs the backward
@@ -40,12 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import _ckernel
+from ._ckernel import E_STEP_BLOCK, E_STEP_LANES
 from .errors import EmptyObservation, NoTrainingData, SymbolOutOfRange
 
 ROW_SUM_TOL = 1e-9
@@ -280,11 +282,6 @@ def backward_log_likelihood(model: Hmm, obs: Sequence[int]) -> float:
     return ll + math.log(sum(e_step.counts()[0].tolist()))
 
 
-# Windows per block of the E-step, and the lanes of its sums across
-# windows; both are part of its summation order, which _kernel.c repeats.
-E_STEP_BLOCK = 256
-E_STEP_LANES = 8
-
 class _Batch:
     """The arrays of one equal-length batch: its (length, batch) symbols,
     the (states, length, batch) alphas and the (length, batch) scale factors
@@ -400,19 +397,14 @@ _NUMPY_KERNEL = _NumpyKernel()
 _kernel = None  # the kernel of this process, chosen on first use
 
 
-def _load_kernel(source: Path = _ckernel.SOURCE, cc: str | None = None):
-    """The compiled kernel from ``source``, built with the compiler command
-    ``cc`` (see :func:`ssph._ckernel.load`), or :data:`_NUMPY_KERNEL` where
-    it cannot be built or loaded. Both give the same bytes."""
-    return _ckernel.load(source, cc) or _NUMPY_KERNEL
-
-
 def _chosen_kernel():
-    """The kernel that scores windows and runs the E-step in this process:
-    :func:`_load_kernel`'s, loaded on the first call."""
+    """The kernel that scores windows and runs the E-step in this process,
+    loaded on the first call: the compiled one of :func:`ssph._ckernel.load`,
+    or :data:`_NUMPY_KERNEL` where it cannot be built or loaded. Both give
+    the same bytes."""
     global _kernel
     if _kernel is None:
-        _kernel = _load_kernel()
+        _kernel = _ckernel.load() or _NUMPY_KERNEL
     return _kernel
 
 

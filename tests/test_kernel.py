@@ -36,9 +36,9 @@ SRC = Path(hmm.__file__).resolve().parents[1]
 
 
 def compiled_kernel():
-    """The kernel ``hmm._load_kernel`` gives; skips the test on a host
-    where the compiled one cannot be built."""
-    kernel = hmm._load_kernel()
+    """The kernel ``_ckernel.load`` gives; skips the test on a host where
+    the compiled one cannot be built."""
+    kernel = _ckernel.load() or hmm._NUMPY_KERNEL
     if kernel is hmm._NUMPY_KERNEL:
         pytest.skip("the compiled kernels cannot be built here")
     return kernel
@@ -169,13 +169,12 @@ def test_a_failed_build_falls_back_to_the_numpy_kernel(tmp_path, cc):
     # its failure marker beside the source and no temp file.
     source = tmp_path / "_kernel.c"
     shutil.copy(_ckernel.SOURCE, source)
-    kernel = hmm._load_kernel(source, str(tmp_path / cc)
-                              if cc.startswith("no-") else cc)
-    assert kernel is hmm._NUMPY_KERNEL
+    assert _ckernel.load(source, str(tmp_path / cc)
+                         if cc.startswith("no-") else cc) is None
     marker, rest = sorted(os.listdir(tmp_path))
     assert re.fullmatch(r"_kernel-[0-9a-f]{8}\.failed", marker)
     assert rest == "_kernel.c"
-    assert labels_with(kernel) == labels_with(compiled_kernel())
+    assert labels_with(hmm._NUMPY_KERNEL) == labels_with(compiled_kernel())
 
 
 def logging_compiler(tmp_path, ending):
@@ -192,25 +191,18 @@ def logging_compiler(tmp_path, ending):
     return source, str(cc), runs
 
 
-def load_in_a_new_process(source, cc):
-    """:func:`_ckernel.load` as a new process makes it, with no result kept
-    from earlier calls in this one."""
-    _ckernel.load.cache_clear()
-    return _ckernel.load(source, cc)
-
-
 def test_a_failed_build_runs_the_compiler_once_per_command(tmp_path):
-    # A compiler that logs each run and fails. A second load with the same
-    # command and source does not run it, in this process or a new one;
-    # deleting the marker, or another command, builds again.
+    # A compiler that logs each run and fails. Later loads with the same
+    # command and source do not run it: load keeps nothing, so the failure
+    # marker stops them, in this process as in a new one. Deleting the
+    # marker, or another command, builds again.
     source, cc, runs = logging_compiler(tmp_path, "exit 1")
-    for _ in range(2):
-        assert load_in_a_new_process(source, cc) is None
-        assert hmm._load_kernel(source, cc) is hmm._NUMPY_KERNEL
+    for _ in range(3):
+        assert _ckernel.load(source, cc) is None
     assert runs.read_text() == "run\n"
     [marker] = source.parent.glob("_kernel-*.failed")
     marker.unlink()
-    assert load_in_a_new_process(source, cc) is None
+    assert _ckernel.load(source, cc) is None
     assert _ckernel.load(source, f"{cc} -O2") is None
     assert runs.read_text() == "run\n" * 3
     assert len(list(source.parent.glob("_kernel-*.failed"))) == 2
@@ -218,20 +210,20 @@ def test_a_failed_build_runs_the_compiler_once_per_command(tmp_path):
 
 def test_a_compiler_killed_by_a_signal_leaves_no_failure_marker(tmp_path):
     # A kill need not come again, so the build falls back without a marker
-    # or a temp file, and the next process runs the compiler again.
+    # or a temp file, and the next load runs the compiler again: load keeps
+    # nothing, in this process or another.
     source, cc, runs = logging_compiler(tmp_path, "kill -KILL $$")
-    for _ in range(2):
-        assert load_in_a_new_process(source, cc) is None
-    assert hmm._load_kernel(source, cc) is hmm._NUMPY_KERNEL
-    assert runs.read_text() == "run\n" * 2
+    for _ in range(3):
+        assert _ckernel.load(source, cc) is None
+    assert runs.read_text() == "run\n" * 3
     assert os.listdir(source.parent) == ["_kernel.c"]
 
 
 BUILD = """
 import hashlib, sys
 from pathlib import Path
-from ssph import hmm
-kernel = hmm._load_kernel(Path(sys.argv[1]))
+from ssph import _ckernel
+kernel = _ckernel.load(Path(sys.argv[1]))
 print(kernel.library, hashlib.sha256(kernel.library.read_bytes()).hexdigest())
 """
 
@@ -255,6 +247,28 @@ def test_concurrent_builds_load_the_same_library(tmp_path):
     assert library.parent == tmp_path
     assert set(os.listdir(tmp_path)) == {"_kernel.c", library.name}
     assert hashlib.sha256(library.read_bytes()).hexdigest() == digest
+
+
+def test_the_process_loads_its_kernel_once(monkeypatch):
+    # hmm._kernel is the process's one kernel cache: from the state a new
+    # process starts in, choosing the kernel, predicting and training load
+    # the library once between them.
+    monkeypatch.setattr(hmm, "_kernel", None)
+    load, loads = _ckernel.load, []
+
+    def counted(*args):
+        loads.append(args)
+        return load(*args)
+
+    monkeypatch.setattr(_ckernel, "load", counted)
+    kernel = hmm._chosen_kernel()
+    assert all(hmm._chosen_kernel() is kernel for _ in range(2))
+    chains = [c.sequence for c in planted_dataset(2, 40, seed=3)]
+    predict_structures(planted_models(0.05), chains, 3)
+    hmm.baum_welch(hmm.new_random_hmm(2, 21, seed=3),
+                   [[0, 1, 2, 3], [4, 5, 6, 7]], max_iters=2)
+    assert len(loads) == 1
+    assert hmm._kernel is kernel
 
 
 # ----------------------------------------------------------------- E-step

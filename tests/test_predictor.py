@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 import oracle
 from helpers import (kernel_in_use, kernels, random_model,
                      single_symbol_stub, stub_model_set)
-from ssph import (ALPHABET, ClassModelSet, encode_residues, fold_residues,
-                  hmm, new_random_hmm, planted_dataset, planted_models,
-                  predict_structure, predict_structures, predictor, viterbi)
+from ssph import (ALPHABET, ClassModelSet, _ckernel, encode_residues,
+                  fold_residues, hmm, new_random_hmm, planted_dataset,
+                  planted_models, predict_structure, predict_structures,
+                  predictor, viterbi)
 from ssph.errors import EmptySequence
 from ssph.hmm import _log_params, _window_scores
 
@@ -335,11 +336,11 @@ KernelCall = namedtuple("KernelCall", "windows symbols")
 
 
 def counting_kernel(monkeypatch):
-    """Make the kernel the one ``hmm._load_kernel`` gives (the compiled
-    one, where it can be built), wrapped to record each window kernel call
-    as a :class:`KernelCall`: its number of windows and its symbols. The
-    E-step entries pass through unrecorded."""
-    kernel = hmm._load_kernel()
+    """Make the kernel the one ``_ckernel.load`` gives (the numpy one where
+    the compiled one cannot be built), wrapped to record each window kernel
+    call as a :class:`KernelCall`: its number of windows and its symbols.
+    The E-step entries pass through unrecorded."""
+    kernel = _ckernel.load() or hmm._NUMPY_KERNEL
     calls = []
 
     class Counted:
